@@ -55,7 +55,7 @@ def _cmd_run(args) -> int:
     summary = run_simulation(config, seed, config.output_dir)
     print(f"seed {seed}: final MAE {summary['final_mae']:.4f} "
           f"after {summary['rounds_completed']} rounds "
-          f"({summary['wall_time_s']:.1f}s, backend {summary['kernel_backend']})")
+          f"({summary['wall_time_s']:.1f}s)")
     return 0
 
 

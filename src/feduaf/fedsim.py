@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .datagen import (
     ClientData,
     FederationSpec,
@@ -38,11 +37,10 @@ from .model import (
     forward_fused,
     init_model_params,
     predict_eval,
-    shared_components,
-    trainable_params,
 )
 from .nn import TRAIN, AdamState, adam_step, mse_loss_batch
 from .rng import Rng
+from .serialize import save_params
 from .uncertainty import fused_uncertainties, probe_uncertainties
 
 RELIABILITY_WEIGHTED = "reliability_weighted"
@@ -195,21 +193,6 @@ def fedprox_penalty(theta_local: list, theta_global: list, mu: float):
 
 # -------------------------------------------------------------- client side
 
-def _shared_param_indices(model: ModelParams, share_encoders: bool) -> list:
-    """Indices of the exchanged block inside the trainable parameter list,
-    in the same order extract_shared emits tensors."""
-    offsets = {}
-    pos = 0
-    for name, mlp in model.components():
-        n = len(mlp.parameters())
-        offsets[name] = list(range(pos, pos + n))
-        pos += n
-    idx = []
-    for name, _ in shared_components(model, share_encoders):
-        idx.extend(offsets[name])
-    return idx
-
-
 def _batch_fusion_weights(model, feats, mask, config, rng):
     if config.ablation.ua_fusion:
         u = probe_uncertainties(model, feats, mask, config.uncertainty.passes, rng)
@@ -242,12 +225,12 @@ def local_update(client: ClientRuntime, theta_s: list, config,
         raise ConfigError(f"client {cid!r} has an empty training set")
     share_enc = config.share_encoders
     assign_shared(client.model, theta_s, share_enc)
-    params = trainable_params(client.model)
-    adam = AdamState.init_for(params, lr=config.training.lr)
+    theta = client.model.theta
+    adam = AdamState.init_for([theta], lr=config.training.lr)
     prox_mu = config.training.fedprox_mu if config.strategy == FEDPROX else 0.0
     if prox_mu > 0.0:
-        prox_idx = _shared_param_indices(client.model, share_enc)
-        theta_global = [arr.copy() for _, arr in theta_s]
+        shared = client.model.shared_slice(share_enc)
+        theta_global = theta[shared].copy()
     n = len(train.samples)
     feats_all, mask_all, labels_all = batch_from_samples(
         train.samples, client.model.feature_dims())
@@ -266,13 +249,12 @@ def local_update(client: ClientRuntime, theta_s: list, config,
                 raise NumericError(
                     f"client {cid!r} diverged at round {round_index} (non-finite loss)"
                 )
-            grads = backward_fused(client.model, tape, dpreds)
+            grad = backward_fused(client.model, tape, dpreds)
             if prox_mu > 0.0:
-                _, prox_grads = fedprox_penalty(
-                    [params[i] for i in prox_idx], theta_global, prox_mu)
-                for i, pg in zip(prox_idx, prox_grads):
-                    grads[i] = grads[i] + pg
-            adam_step(params, grads, adam)
+                _, (prox_grad,) = fedprox_penalty(
+                    [theta[shared]], [theta_global], prox_mu)
+                grad[shared] += prox_grad
+            adam_step([theta], [grad], adam)
             losses.append(loss)
     if client.data.is_noisy and config.noise_gamma > 0.0:
         perturbed = perturb_update(
@@ -428,12 +410,24 @@ def init_federation(config, seed: int) -> FederationState:
     return FederationState(clients=clients, shared=shared)
 
 
+def threads_from_env() -> int:
+    """Worker count from FEDUAF_THREADS (default 1); must be an integer >= 1."""
+    raw = os.environ.get("FEDUAF_THREADS", "1")
+    error = ConfigError(f"FEDUAF_THREADS must be an integer >= 1, got {raw!r}")
+    try:
+        n = int(raw)
+    except ValueError:
+        raise error from None
+    if n < 1:
+        raise error
+    return n
+
+
 def run_simulation(config, seed: int, run_dir, n_threads: int | None = None) -> dict:
     """Execute a full run and write rounds.jsonl + summary.json to run_dir."""
     if n_threads is None:
-        n_threads = int(os.environ.get("FEDUAF_THREADS", "1"))
+        n_threads = threads_from_env()
     t_start = time.perf_counter()
-    kernels.warmup()
     state = init_federation(config, seed)
     run_rng = Rng(seed).derive("protocol")
     for client in state.clients:
@@ -445,8 +439,6 @@ def run_simulation(config, seed: int, run_dir, n_threads: int | None = None) -> 
         for _ in range(config.training.rounds):
             report = run_round(state, config, run_rng, n_threads=n_threads)
             fh.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
-    from .serialize import save_params
-
     save_params(os.path.join(run_dir, "shared_params.json"), state.shared)
     summary = {
         "config": config.to_dict(),
@@ -456,7 +448,6 @@ def run_simulation(config, seed: int, run_dir, n_threads: int | None = None) -> 
         "final_mean_reliability": state.reports[-1].mean_reliability,
         "rounds_completed": state.round_index,
         "noisy_clients": [c.data.client_id for c in state.clients if c.data.is_noisy],
-        "kernel_backend": kernels.BACKEND,
         "wall_time_s": time.perf_counter() - t_start,
     }
     with open(os.path.join(run_dir, "summary.json"), "w", encoding="utf-8") as fh:

@@ -6,11 +6,17 @@ scalar prediction head. Fusion weights enter the forward pass as constants
 (stop-gradient): the backward pass scales each modality's representation
 gradient by its weight and never differentiates through the weights
 themselves.
+
+All parameters of a bundle live in one float64 vector, `theta`, in canonical
+component order; every layer's weights and bias are views into it. The
+layout table names each tensor with its v1 checkpoint name and offset, and
+the exchanged block is one contiguous slice of `theta`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,7 +24,6 @@ from .exceptions import ShapeError
 from .fusion import MODALITIES
 from .nn import EVAL, IDENTITY, RELU, TRAIN, Mlp, Tape, backward, forward, init_mlp
 from .rng import Rng
-from .serialize import assign_mlp_tensors, mlp_tensors
 
 
 @dataclass
@@ -26,6 +31,28 @@ class ModelParams:
     encoders: dict  # modality -> Mlp
     shared_head: Mlp
     prediction_head: Mlp
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
+    layout: list = field(init=False, repr=False, compare=False)  # (name, offset, shape)
+
+    def __post_init__(self):
+        """Validate, then pack every layer into `theta` and make the layer
+        arrays views into it."""
+        self.validate()
+        layers = [(f"{name}.layers.{i}", layer)
+                  for name, mlp in self.components()
+                  for i, layer in enumerate(mlp.layers)]
+        self.theta = np.concatenate(
+            [a.ravel() for _, layer in layers for a in (layer.weights, layer.bias)],
+            dtype=np.float64)
+        self.layout = []
+        offset = 0
+        for prefix, layer in layers:
+            for attr, suffix in (("weights", "weight"), ("bias", "bias")):
+                shape = getattr(layer, attr).shape
+                size = math.prod(shape)
+                self.layout.append((f"{prefix}.{suffix}", offset, shape))
+                setattr(layer, attr, self.theta[offset:offset + size].reshape(shape))
+                offset += size
 
     def validate(self):
         if set(self.encoders) != set(MODALITIES):
@@ -45,7 +72,7 @@ class ModelParams:
             raise ShapeError("prediction head must output a scalar")
 
     def components(self) -> list:
-        """Canonical (name, Mlp) order used for parameter/gradient lists."""
+        """Canonical (name, Mlp) order of `theta` and of gradient vectors."""
         out = [(f"encoder.{m}", self.encoders[m]) for m in MODALITIES]
         out.append(("shared_head", self.shared_head))
         out.append(("prediction_head", self.prediction_head))
@@ -53,6 +80,20 @@ class ModelParams:
 
     def feature_dims(self) -> dict:
         return {m: self.encoders[m].in_dim for m in MODALITIES}
+
+    def shared_slice(self, share_encoders: bool = False) -> slice:
+        """The exchanged block inside `theta`: the shared head, preceded by
+        the encoders when they are shared too."""
+        starts = {}
+        for name, off, _ in self.layout:
+            starts.setdefault(name.split(".layers.")[0], off)
+        return slice(0 if share_encoders else starts["shared_head"],
+                     starts["prediction_head"])
+
+    def shared_layout(self, share_encoders: bool = False) -> list:
+        """Layout entries of the exchanged block, in upload order."""
+        block = self.shared_slice(share_encoders)
+        return [entry for entry in self.layout if block.start <= entry[1] < block.stop]
 
 
 def init_model_params(feature_dims: dict, hidden_dim: int, fusion_dim: int,
@@ -67,41 +108,26 @@ def init_model_params(feature_dims: dict, hidden_dim: int, fusion_dim: int,
                       dropout_rate, activations=[RELU])
     pred = init_mlp([hidden_dim, 1], rng.derive("prediction_head"), 0.0,
                     activations=[IDENTITY])
-    model = ModelParams(encoders, shared, pred)
-    model.validate()
-    return model
-
-
-def trainable_params(model: ModelParams) -> list:
-    """Flat list of parameter arrays in canonical component order (views)."""
-    out = []
-    for _, mlp in model.components():
-        out.extend(mlp.parameters())
-    return out
-
-
-def shared_components(model: ModelParams, share_encoders: bool = False) -> list:
-    """(name, Mlp) pairs that constitute the exchanged parameter block."""
-    out = []
-    if share_encoders:
-        out.extend((f"encoder.{m}", model.encoders[m]) for m in MODALITIES)
-    out.append(("shared_head", model.shared_head))
-    return out
+    return ModelParams(encoders, shared, pred)
 
 
 def extract_shared(model: ModelParams, share_encoders: bool = False) -> list:
     """Copy the exchanged block out as named tensors."""
-    tensors = []
-    for name, mlp in shared_components(model, share_encoders):
-        tensors.extend(mlp_tensors(name, mlp))
-    return tensors
+    theta = model.theta
+    return [(name, theta[off:off + math.prod(shape)].reshape(shape).copy())
+            for name, off, shape in model.shared_layout(share_encoders)]
 
 
 def assign_shared(model: ModelParams, tensors: list, share_encoders: bool = False):
     """Copy named tensors into the exchanged block of this bundle."""
     mapping = dict(tensors)
-    for name, mlp in shared_components(model, share_encoders):
-        assign_mlp_tensors(name, mlp, mapping)
+    for name, off, shape in model.shared_layout(share_encoders):
+        if name not in mapping:
+            raise ShapeError(f"missing tensor {name!r}")
+        src = mapping[name]
+        if src.shape != shape:
+            raise ShapeError(f"tensor {name!r} has shape {src.shape}, expected {shape}")
+        model.theta[off:off + src.size] = src.ravel()
 
 
 @dataclass
@@ -135,8 +161,8 @@ def forward_fused(model: ModelParams, feats: dict, alpha: np.ndarray,
     return out[:, 0], FusedTape(enc_tapes, shared_tape, pred_tape, alpha)
 
 
-def backward_fused(model: ModelParams, tape: FusedTape, dpreds: np.ndarray) -> list:
-    """Gradients for one fused pass, flat in canonical component order.
+def backward_fused(model: ModelParams, tape: FusedTape, dpreds: np.ndarray) -> np.ndarray:
+    """Gradient of one fused pass as one vector aligned with `model.theta`.
 
     Fusion weights act as constants: each encoder sees its representation
     gradient scaled by alpha_m (zero for missing/zero-weight samples).
@@ -152,7 +178,7 @@ def backward_fused(model: ModelParams, tape: FusedTape, dpreds: np.ndarray) -> l
         grads.extend(g_enc.flat_list())
     grads.extend(g_shared.flat_list())
     grads.extend(g_pred.flat_list())
-    return grads
+    return np.concatenate([g.ravel() for g in grads])
 
 
 def probe_predictions(model: ModelParams, modality: str, x: np.ndarray,

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .exceptions import ConfigError, NumericError, ShapeError, StateError
 from .rng import Rng
 
@@ -21,6 +20,22 @@ RELU = "relu"
 IDENTITY = "identity"
 TRAIN = "train"
 EVAL = "eval"
+
+
+def relu_dropout_forward(z, mask, keep):
+    return np.where((z > 0.0) & mask, z / keep, 0.0)
+
+
+def relu_forward(z):
+    return np.where(z > 0.0, z, 0.0)
+
+
+def relu_dropout_backward(grad_out, z, mask, keep):
+    return np.where((z > 0.0) & mask, grad_out / keep, 0.0)
+
+
+def relu_backward(grad_out, z):
+    return np.where(z > 0.0, grad_out, 0.0)
 
 
 @dataclass
@@ -156,10 +171,10 @@ def forward(mlp: Mlp, x: np.ndarray, mode: str = EVAL, rng: Rng | None = None):
         if layer.activation == RELU:
             if use_dropout:
                 mask = rng.random(z.shape) < keep
-                a = kernels.relu_dropout_forward(z, mask, keep)
+                a = relu_dropout_forward(z, mask, keep)
                 tape.masks.append(mask)
             else:
-                a = kernels.relu_forward(z)
+                a = relu_forward(z)
                 tape.masks.append(None)
         else:
             a = z
@@ -201,9 +216,9 @@ def backward(mlp: Mlp, tape: Tape, loss_grad: np.ndarray) -> MlpGradients:
         if layer.activation == RELU:
             mask = tape.masks[i]
             if mask is not None:
-                gz = kernels.relu_dropout_backward(g, z, mask, tape.keep)
+                gz = relu_dropout_backward(g, z, mask, tape.keep)
             else:
-                gz = kernels.relu_backward(g, z)
+                gz = relu_backward(g, z)
         else:
             gz = g
         dw = gz.T @ tape.inputs[i]
@@ -223,6 +238,8 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps_adam: float = 1e-8
+    # per-array buffers for adam_step's in-place update; not saved by to_dict
+    scratch: list = field(default_factory=list, repr=False, compare=False)
 
     @classmethod
     def init_for(cls, params, lr: float = 1e-3, beta1: float = 0.9,
@@ -260,25 +277,42 @@ class AdamState:
 
 
 def adam_step(params, grads, state: AdamState):
-    """One bias-corrected Adam step, updating `params` and `state` in place."""
+    """One bias-corrected Adam step, updating `params` and `state` in place.
+
+    Each array is updated with in-place ufuncs through two scratch buffers
+    held by the state, so a step allocates nothing after the first; the
+    operations keep the order of the textbook expression, so the result
+    does not depend on how the parameters are split into arrays.
+    """
     if len(params) != len(grads) or len(params) != len(state.first_moment):
         raise ShapeError("params/grads/state length mismatch")
     for p, g, m in zip(params, grads, state.first_moment):
         if p.shape != g.shape or p.shape != m.shape:
             raise ShapeError(f"shape mismatch in adam_step: {p.shape} vs {g.shape}")
-        if not p.flags["C_CONTIGUOUS"]:
-            raise ShapeError("adam_step requires C-contiguous parameter arrays")
+    if not state.scratch:
+        state.scratch = [(np.empty_like(m), np.empty_like(m)) for m in state.first_moment]
     state.step_count += 1
-    # bias corrections computed here so numba and numpy kernels see the
-    # same float values (their pow routines can differ by one ulp)
-    bc1 = 1.0 - state.beta1 ** state.step_count
-    bc2 = 1.0 - state.beta2 ** state.step_count
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        kernels.adam_update(
-            p.ravel(), np.ascontiguousarray(g, dtype=np.float64).ravel(),
-            m.ravel(), v.ravel(),
-            bc1, bc2, state.lr, state.beta1, state.beta2, state.eps_adam,
-        )
+    beta1, beta2 = state.beta1, state.beta2
+    bc1 = 1.0 - beta1 ** state.step_count
+    bc2 = 1.0 - beta2 ** state.step_count
+    for p, g, m, v, (num, den) in zip(params, grads, state.first_moment,
+                                      state.second_moment, state.scratch):
+        # m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g
+        m *= beta1
+        np.multiply(g, 1.0 - beta1, out=num)
+        m += num
+        v *= beta2
+        np.multiply(g, 1.0 - beta2, out=num)
+        num *= g
+        v += num
+        # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += state.eps_adam
+        np.divide(m, bc1, out=num)
+        num *= state.lr
+        num /= den
+        p -= num
     return params, state
 
 

@@ -14,42 +14,14 @@ Names follow `<component>.layers.<i>.weight` / `.bias`, e.g.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
-from .exceptions import ShapeError, ValidationError
-from .nn import Mlp
+from .exceptions import ValidationError
 
 FORMAT_NAME = "feduaf.params"
 FORMAT_VERSION = 1
-
-
-def mlp_tensors(prefix: str, mlp: Mlp) -> list:
-    """Extract (name, array-copy) pairs for every layer of an MLP."""
-    out = []
-    for i, layer in enumerate(mlp.layers):
-        out.append((f"{prefix}.layers.{i}.weight", layer.weights.copy()))
-        out.append((f"{prefix}.layers.{i}.bias", layer.bias.copy()))
-    return out
-
-
-def assign_mlp_tensors(prefix: str, mlp: Mlp, tensors: dict):
-    """Copy named tensors into an MLP's layers; shapes must match."""
-    for i, layer in enumerate(mlp.layers):
-        for attr, arr in (("weight", layer.weights), ("bias", layer.bias)):
-            name = f"{prefix}.layers.{i}.{attr}"
-            if name not in tensors:
-                raise ShapeError(f"missing tensor {name!r}")
-            src = tensors[name]
-            if src.shape != arr.shape:
-                raise ShapeError(
-                    f"tensor {name!r} has shape {src.shape}, expected {arr.shape}"
-                )
-            arr[...] = src
-
-
-def clone_tensors(tensors: list) -> list:
-    return [(name, arr.copy()) for name, arr in tensors]
 
 
 def to_container(tensors: list) -> dict:
@@ -65,16 +37,29 @@ def to_container(tensors: list) -> dict:
 
 
 def from_container(doc: dict) -> list:
+    """Parse a container, rejecting anything `to_container` could not have
+    written: missing keys, malformed shapes, short data or non-finite values."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ValidationError("not a feduaf.params container")
     if doc.get("version") != FORMAT_VERSION:
         raise ValidationError(f"unsupported container version {doc.get('version')!r}")
     out = []
     for entry in doc.get("tensors", []):
+        if not isinstance(entry, dict) or not {"name", "shape", "data"} <= entry.keys():
+            raise ValidationError("each tensor entry needs 'name', 'shape' and 'data'")
         name, shape, data = entry["name"], entry["shape"], entry["data"]
-        arr = np.array(data, dtype=np.float64)
-        if arr.size != int(np.prod(shape, dtype=np.int64)):
+        if not isinstance(shape, list) or not all(
+                isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape):
+            raise ValidationError(f"tensor {name!r}: shape must be a list of "
+                                  f"non-negative integers, got {shape!r}")
+        try:
+            arr = np.array(data, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"tensor {name!r}: data is not a list of numbers") from exc
+        if arr.size != math.prod(shape):
             raise ValidationError(f"tensor {name!r}: data length does not match shape")
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"tensor {name!r} contains non-finite values")
         out.append((name, arr.reshape(shape)))
     return out
 

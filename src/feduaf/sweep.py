@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import ExperimentConfig, config_from_dict
 from .exceptions import ConfigError, ValidationError
-from .fedsim import STRATEGIES, run_simulation
+from .fedsim import STRATEGIES, run_simulation, threads_from_env
 
 GRID_AXES = ("noniid_intensity", "missing_ratio", "noisy_ratio", "strategy", "ablation")
 
@@ -99,7 +99,7 @@ def run_sweep(config: ExperimentConfig, grid_raw: dict, out_dir,
               n_workers: int | None = None) -> SweepResult:
     """Run every grid point x seed and write sweep.csv under out_dir."""
     if n_workers is None:
-        n_workers = int(os.environ.get("FEDUAF_THREADS", "1"))
+        n_workers = threads_from_env()
     points = parse_grid(grid_raw)
     os.makedirs(out_dir, exist_ok=True)
     cells = []

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .datagen import batch_from_samples
 from .exceptions import ConfigError, DegenerateInputError, NumericError, ValidationError
 from .fusion import MODALITIES, fusion_weights_batch
@@ -39,12 +38,24 @@ class UncertaintyEstimate:
             raise NumericError("uncertainties must be finite and non-negative")
 
 
+def population_variance(preds: np.ndarray) -> np.ndarray:
+    """Per-column population variance (divide by T) of (T, B) predictions.
+
+    Values are shifted by the first row so constant columns give exactly 0.
+    """
+    t = preds.shape[0]
+    shifted = preds - preds[0]
+    mean = np.sum(shifted, axis=0) / t
+    centered = shifted - mean
+    return np.sum(centered * centered, axis=0) / t
+
+
 def variance_uncertainty(preds) -> float:
     """Population variance (divide by T) of a list of scalar predictions."""
     arr = np.asarray(preds, dtype=np.float64).ravel()
     if arr.shape[0] < 2:
         raise ConfigError("variance needs at least 2 predictions")
-    return float(kernels.population_variance(np.ascontiguousarray(arr[:, None]))[0])
+    return float(population_variance(arr[:, None])[0])
 
 
 def entropy_uncertainty(probs_per_pass) -> float:
@@ -88,7 +99,7 @@ def probe_uncertainties(model: ModelParams, feats: dict, mask: np.ndarray,
         if not mask[:, mi].any():
             continue
         preds = probe_predictions(model, m, feats[m], T, rng)
-        u[:, mi] = kernels.population_variance(np.ascontiguousarray(preds))
+        u[:, mi] = population_variance(preds)
     u[~mask] = np.nan
     return u
 
@@ -97,7 +108,7 @@ def fused_uncertainties(model: ModelParams, feats: dict, alpha: np.ndarray,
                         T: int, rng: Rng) -> np.ndarray:
     """Per-sample population variance of T fused stochastic passes; (B,)."""
     preds = fused_mc_predictions(model, feats, alpha, T, rng)
-    return kernels.population_variance(np.ascontiguousarray(preds))
+    return population_variance(preds)
 
 
 def mc_predict(model: ModelParams, sample, T: int, rng: Rng) -> list:
@@ -121,7 +132,7 @@ def modality_uncertainties(model: ModelParams, sample, T: int, rng: Rng) -> Unce
     u = probe_uncertainties(model, feats, mask, T, rng)
     alpha = fusion_weights_batch(u, mask)
     fused_preds = fused_mc_predictions(model, feats, alpha, T, rng)
-    fused = float(kernels.population_variance(np.ascontiguousarray(fused_preds))[0])
+    fused = float(population_variance(fused_preds)[0])
     per_modality = {
         m: float(u[0, mi]) for mi, m in enumerate(MODALITIES) if mask[0, mi]
     }

@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from feduaf import kernels
 from feduaf.config import config_from_dict
 from feduaf.datagen import load_jsonl, save_jsonl
 from feduaf.fedsim import (
@@ -32,7 +31,6 @@ from feduaf.model import (
     backward_fused,
     forward_fused,
     init_model_params,
-    trainable_params,
 )
 from feduaf.nn import mse_loss_batch
 from feduaf.rng import Rng
@@ -49,12 +47,6 @@ def report(criterion, name, ok, detail=""):
     print(f"\n[acceptance] criterion {criterion} ({name}): {status}"
           + (f" — {detail}" if detail else ""))
     assert ok, f"criterion {criterion} ({name}): {detail}"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # one-time jit compilation stays out of the timed sections
-    kernels.warmup()
 
 
 def _sim_job(args):
@@ -181,47 +173,27 @@ def test_criterion_2_gradient_suite():
         model, feats, alpha, labels = _gradcheck_case(case)
         use_prox = case % 2 == 1
         mu = 0.05
-        anchors = [layer.weights.copy() for layer in model.shared_head.layers]
-        anchors += [layer.bias.copy() for layer in model.shared_head.layers]
-        shared_arrays = model.shared_head.parameters()
+        shared = model.shared_slice()
+        anchor = model.theta[shared].copy()
 
         def loss_fn():
             preds, _ = forward_fused(model, feats, alpha)
             loss = mse_loss_batch(preds, labels)[0]
             if use_prox:
-                # anchors ordered weights-then-biases; match that order
-                current = [l.weights for l in model.shared_head.layers] + \
-                          [l.bias for l in model.shared_head.layers]
-                loss += fedprox_penalty(current, anchors, mu)[0]
+                loss += fedprox_penalty([model.theta[shared]], [anchor], mu)[0]
             return loss
 
         preds, tape = forward_fused(model, feats, alpha)
         _, dpreds = mse_loss_batch(preds, labels)
         analytic = backward_fused(model, tape, dpreds)
         if use_prox:
-            current = [l.weights for l in model.shared_head.layers] + \
-                      [l.bias for l in model.shared_head.layers]
-            _, prox_grads = fedprox_penalty(current, anchors, mu)
-            # shared head occupies the block before the prediction head
-            n_pred = len(model.prediction_head.parameters())
-            n_shared = len(shared_arrays)
-            start = len(analytic) - n_pred - n_shared
-            # analytic grads are [w0, b0, w1, b1, ...]; prox grads are
-            # weights-then-biases, so remap
-            n_layers = len(model.shared_head.layers)
-            remap = {}
-            for li in range(n_layers):
-                remap[start + 2 * li] = prox_grads[li]
-                remap[start + 2 * li + 1] = prox_grads[n_layers + li]
-            for idx, pg in remap.items():
-                analytic[idx] = analytic[idx] + pg
-        numeric = finite_difference_grads(loss_fn, trainable_params(model))
-        for a, n in zip(analytic, numeric):
-            tol = 1e-4 * np.maximum(np.abs(a), np.abs(n)) + 1e-7
-            if (np.abs(a - n) > tol).any():
-                failures.append(f"case {case}: max err "
-                                f"{np.abs(np.asarray(a) - n).max():.2e}")
-                break
+            _, (prox_grad,) = fedprox_penalty([model.theta[shared]], [anchor], mu)
+            analytic[shared] += prox_grad
+        numeric, = finite_difference_grads(loss_fn, [model.theta])
+        tol = 1e-4 * np.maximum(np.abs(analytic), np.abs(numeric)) + 1e-7
+        if (np.abs(analytic - numeric) > tol).any():
+            failures.append(f"case {case}: max err "
+                            f"{np.abs(analytic - numeric).max():.2e}")
     elapsed = time.perf_counter() - t0
     if elapsed >= 30.0:
         failures.append(f"runtime {elapsed:.1f}s exceeds 30s")

@@ -64,6 +64,17 @@ class TestCli:
         path = write_json(tmp_path / "config.json", {"training": {"rounds": 0}})
         assert main(["run", "--config", path]) == 1
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+    def test_bad_thread_env_exits_1(self, tmp_path, capsys, monkeypatch, value):
+        path = write_json(tmp_path / "config.json",
+                          dict(SMALL_RUN, output_dir=str(tmp_path / "out")))
+        grid = write_json(tmp_path / "grid.json", {})
+        monkeypatch.setenv("FEDUAF_THREADS", value)
+        for argv in (["run", "--config", path],
+                     ["sweep", "--config", path, "--grid", grid]):
+            assert main(argv) == 1
+            assert "FEDUAF_THREADS" in capsys.readouterr().err
+
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.json")]) == 1
 

@@ -15,9 +15,8 @@ from feduaf.model import (
     init_model_params,
     predict_eval,
     probe_predictions,
-    trainable_params,
 )
-from feduaf.nn import EVAL, TRAIN, mse_loss_batch
+from feduaf.nn import EVAL, IDENTITY, RELU, TRAIN, DenseLayer, Mlp, mse_loss_batch
 from feduaf.rng import Rng
 
 from oracles import assert_grads_close, finite_difference_grads
@@ -28,6 +27,21 @@ DIMS = {"v": 4, "a": 3, "t": 5}
 def tiny_model(dropout=0.0, seed=0):
     return init_model_params(DIMS, hidden_dim=6, fusion_dim=5,
                              dropout_rate=dropout, rng=Rng(seed))
+
+
+def tensor(model, flat, name):
+    """The named tensor's view into a vector laid out like `model.theta`."""
+    (off, shape), = [(o, s) for n, o, s in model.layout if n == name]
+    return flat[off:off + int(np.prod(shape))].reshape(shape)
+
+
+def expected_names(model, share_encoders):
+    """Tensor names in upload order, spelled out from the components."""
+    comps = [f"encoder.{m}" for m in MODALITIES] if share_encoders else []
+    comps.append("shared_head")
+    mlps = dict(model.components())
+    return [f"{c}.layers.{i}.{attr}" for c in comps
+            for i in range(len(mlps[c].layers)) for attr in ("weight", "bias")]
 
 
 def random_batch(b=4, seed=1):
@@ -78,8 +92,8 @@ class TestBackwardFused:
         preds, tape = forward_fused(model, feats, alpha, EVAL)
         _, dpreds = mse_loss_batch(preds, labels)
         analytic = backward_fused(model, tape, dpreds)
-        numeric = finite_difference_grads(loss_fn, trainable_params(model))
-        assert_grads_close(analytic, numeric)
+        numeric = finite_difference_grads(loss_fn, [model.theta])
+        assert_grads_close([analytic], numeric)
 
     def test_representation_gradient_scales_with_alpha(self):
         # d(loss)/d(h_m) = alpha_m * d(loss)/d(h): doubling a modality's
@@ -93,7 +107,7 @@ class TestBackwardFused:
             alpha[:, 2] = 1.0 - w_v
             preds, tape = forward_fused(model, feats, alpha, EVAL)
             g = backward_fused(model, tape, np.ones(4))
-            grads_by_alpha.append(g[1])  # encoder.v first-layer bias grad
+            grads_by_alpha.append(tensor(model, g, "encoder.v.layers.0.bias"))
         np.testing.assert_allclose(2.0 * grads_by_alpha[0], grads_by_alpha[1],
                                    rtol=1e-9)
 
@@ -134,8 +148,8 @@ class TestBackwardFused:
                         out = z
             return mse_loss_batch(out[:, 0], labels)[0]
 
-        numeric = finite_difference_grads(loss_fn, trainable_params(model))
-        assert_grads_close(analytic, numeric)
+        numeric = finite_difference_grads(loss_fn, [model.theta])
+        assert_grads_close([analytic], numeric)
 
 
 class TestSharedBlock:
@@ -158,6 +172,57 @@ class TestSharedBlock:
         # encoders untouched
         assert not np.array_equal(src.encoders["v"].layers[0].weights,
                                   dst.encoders["v"].layers[0].weights)
+
+    def test_layers_are_views_into_theta(self):
+        model = tiny_model()
+        mlps = [mlp for _, mlp in model.components()]
+        arrays = [a for mlp in mlps for layer in mlp.layers
+                  for a in (layer.weights, layer.bias)]
+        assert all(np.shares_memory(a, model.theta) for a in arrays)
+        assert model.theta.size == sum(a.size for a in arrays)
+        model.theta[:] = 0.0
+        assert all(not a.any() for a in arrays)
+
+    @pytest.mark.parametrize("share_encoders", [False, True])
+    def test_layout_names_and_shared_slice(self, share_encoders):
+        model = tiny_model()
+        names = [name for name, _ in extract_shared(model, share_encoders)]
+        assert names == expected_names(model, share_encoders)
+        block = model.shared_slice(share_encoders)
+        flat = np.concatenate([arr.ravel() for _, arr in
+                               extract_shared(model, share_encoders)])
+        assert np.array_equal(flat, model.theta[block])
+        assert model.layout[-1][0] == "prediction_head.layers.0.bias"
+        assert block.stop == model.layout[-2][1]
+
+    @pytest.mark.parametrize("share_encoders", [False, True])
+    def test_extract_assign_round_trips(self, share_encoders):
+        src, dst = tiny_model(seed=1), tiny_model(seed=2)
+        before = dst.theta.copy()
+        block = src.shared_slice(share_encoders)
+        assign_shared(dst, extract_shared(src, share_encoders), share_encoders)
+        assert np.array_equal(dst.theta[block], src.theta[block])
+        rest = np.ones(dst.theta.size, dtype=bool)
+        rest[block] = False
+        assert np.array_equal(dst.theta[rest], before[rest])
+
+    def test_hand_built_model_is_packed(self):
+        def linear(w):
+            return Mlp([DenseLayer(np.array(w, dtype=float), np.zeros(len(w)), IDENTITY)])
+
+        weights = {m: [[1.0 + i, 2.0], [3.0, 4.0 + i]] for i, m in enumerate(MODALITIES)}
+        model = ModelParams(
+            encoders={m: linear(w) for m, w in weights.items()},
+            shared_head=Mlp([DenseLayer(np.eye(2), np.ones(2), RELU)]),
+            prediction_head=linear([[0.5, -0.5]]),
+        )
+        assert model.theta.size == 3 * 6 + 6 + 3
+        for m in MODALITIES:
+            layer = model.encoders[m].layers[0]
+            assert np.shares_memory(layer.weights, model.theta)
+            assert layer.weights.tolist() == weights[m]
+        assert [n for n, _, _ in model.layout][:2] == [
+            "encoder.v.layers.0.weight", "encoder.v.layers.0.bias"]
 
     def test_invariant_validation(self):
         model = tiny_model()

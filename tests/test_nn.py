@@ -18,6 +18,7 @@ from feduaf.nn import (
     init_mlp,
     mse_loss,
     mse_loss_batch,
+    relu_dropout_forward,
 )
 from feduaf.rng import Rng
 
@@ -208,6 +209,31 @@ class TestAdam:
         assert np.array_equal(w1, w2)
         assert restored.step_count == state.step_count
 
+    def test_flat_vector_matches_per_tensor_and_textbook_steps(self):
+        # one update over a packed vector is bitwise the per-tensor update,
+        # and both are bitwise the textbook expression
+        rng = Rng(4)
+        shapes = [(30, 20), (30,), (5, 30), (5,)]
+        tensors = [rng.normal(size=s) for s in shapes]
+        flat = np.concatenate([t.ravel() for t in tensors])
+        ref_p, ref_m, ref_v = flat.copy(), np.zeros(flat.size), np.zeros(flat.size)
+        per_state = AdamState.init_for(tensors, lr=1e-2)
+        flat_state = AdamState.init_for([flat], lr=1e-2)
+        b1, b2, lr, eps = 0.9, 0.999, 1e-2, 1e-8
+        for t in range(1, 9):
+            grads = [rng.normal(size=s) for s in shapes]
+            g = np.concatenate([x.ravel() for x in grads])
+            adam_step(tensors, grads, per_state)
+            adam_step([flat], [g], flat_state)
+            ref_m = b1 * ref_m + (1.0 - b1) * g
+            ref_v = b2 * ref_v + (1.0 - b2) * g * g
+            ref_p = ref_p - lr * (ref_m / (1.0 - b1 ** t)) / (
+                np.sqrt(ref_v / (1.0 - b2 ** t)) + eps)
+        assert np.array_equal(flat, np.concatenate([x.ravel() for x in tensors]))
+        assert np.array_equal(flat, ref_p)
+        assert np.array_equal(flat_state.first_moment[0], ref_m)
+        assert np.array_equal(flat_state.second_moment[0], ref_v)
+
     def test_shape_mismatch_raises(self):
         w = np.zeros(3)
         state = AdamState.init_for([w])
@@ -280,3 +306,10 @@ class TestValidation:
         layer = DenseLayer(np.array([[np.inf]]), np.zeros(1), RELU)
         with pytest.raises(NumericError):
             layer.validate()
+
+
+def test_relu_dropout_masks_and_scales():
+    z = np.array([[1.0, -1.0, 2.0]])
+    mask = np.array([[True, True, False]])
+    out = relu_dropout_forward(z, mask, 0.5)
+    assert out.tolist() == [[2.0, 0.0, 0.0]]

@@ -4,21 +4,24 @@ import numpy as np
 import pytest
 
 from feduaf.exceptions import ShapeError, ValidationError
-from feduaf.nn import init_mlp
+from feduaf.model import assign_shared, extract_shared, init_model_params
 from feduaf.rng import Rng
 from feduaf.serialize import (
-    assign_mlp_tensors,
     from_container,
     load_params,
-    mlp_tensors,
     save_params,
     to_container,
 )
 
+DIMS = {"v": 3, "a": 2, "t": 4}
+
+
+def model(seed, hidden=5):
+    return init_model_params(DIMS, hidden, 4, 0.0, Rng(seed))
+
 
 def test_file_round_trip_is_bit_exact(tmp_path):
-    mlp = init_mlp([3, 5, 2], Rng(0))
-    tensors = mlp_tensors("shared_head", mlp)
+    tensors = extract_shared(model(0), share_encoders=True)
     path = tmp_path / "params.json"
     save_params(path, tensors)
     loaded = load_params(path)
@@ -29,25 +32,26 @@ def test_file_round_trip_is_bit_exact(tmp_path):
 
 
 def test_assign_round_trip(tmp_path):
-    src = init_mlp([3, 5, 2], Rng(1))
-    dst = init_mlp([3, 5, 2], Rng(2))
-    assign_mlp_tensors("enc", dst, dict(mlp_tensors("enc", src)))
-    for ls, ld in zip(src.layers, dst.layers):
+    src, dst = model(1), model(2)
+    save_params(tmp_path / "params.json", extract_shared(src))
+    assign_shared(dst, load_params(tmp_path / "params.json"))
+    for ls, ld in zip(src.shared_head.layers, dst.shared_head.layers):
         assert np.array_equal(ls.weights, ld.weights)
         assert np.array_equal(ls.bias, ld.bias)
 
 
 def test_assign_rejects_shape_mismatch():
-    src = init_mlp([3, 5, 2], Rng(1))
-    dst = init_mlp([3, 4, 2], Rng(2))
+    src, dst = model(1), model(2, hidden=4)
     with pytest.raises(ShapeError):
-        assign_mlp_tensors("x", dst, dict(mlp_tensors("x", src)))
+        assign_shared(dst, from_container(to_container(extract_shared(src))))
 
 
 def test_assign_rejects_missing_tensor():
-    dst = init_mlp([3, 4], Rng(2))
+    tensors = extract_shared(model(2))
     with pytest.raises(ShapeError):
-        assign_mlp_tensors("x", dst, {})
+        assign_shared(model(2), [])
+    with pytest.raises(ShapeError):
+        assign_shared(model(2), tensors[1:])
 
 
 def test_container_rejects_wrong_format():
@@ -60,16 +64,35 @@ def test_container_rejects_wrong_version():
         from_container({"format": "feduaf.params", "version": 99, "tensors": []})
 
 
+def container(*entries):
+    return {"format": "feduaf.params", "version": 1, "tensors": list(entries)}
+
+
 def test_container_rejects_bad_shape():
-    doc = {"format": "feduaf.params", "version": 1,
-           "tensors": [{"name": "w", "shape": [2, 2], "data": [1.0, 2.0, 3.0]}]}
+    for shape, data in (([2, 2], [1.0, 2.0, 3.0]), ("ab", [1.0]), ([-1], [1.0]),
+                        ([1.5], [1.0]), ([True], [1.0])):
+        with pytest.raises(ValidationError):
+            from_container(container({"name": "w", "shape": shape, "data": data}))
+
+
+def test_container_rejects_incomplete_entry():
+    full = {"name": "w", "shape": [1], "data": [1.0]}
+    for key in full:
+        entry = {k: v for k, v in full.items() if k != key}
+        with pytest.raises(ValidationError):
+            from_container(container(entry))
     with pytest.raises(ValidationError):
-        from_container(doc)
+        from_container(container("w"))
+    with pytest.raises(ValidationError):
+        from_container(container({"name": "w", "shape": [1], "data": ["x"]}))
 
 
 def test_container_rejects_nonfinite():
     with pytest.raises(ValidationError):
         to_container([("w", np.array([np.inf]))])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError):
+            from_container(container({"name": "w", "shape": [2], "data": [1.0, bad]}))
 
 
 def test_scalar_shape_round_trip():
