@@ -9,11 +9,10 @@ noisy-client protocols, baselines, and a sweep CLI.
 
 __version__ = "0.1.0"
 
-from .config import ExperimentConfig, config_from_dict, parse_config
+from .config import ExperimentConfig, FederationSpec, config_from_dict, parse_config
 from .datagen import (
     ClientData,
     ClientDataset,
-    FederationSpec,
     Sample,
     generate_federation,
     inject_missing,

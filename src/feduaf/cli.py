@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
-from .config import parse_config
-from .datagen import FederationSpec, generate_federation, save_jsonl
+from .config import FederationSpec, from_dict, parse_config
+from .datagen import generate_federation, save_jsonl
 from .exceptions import CONFIG_EXIT_ERRORS, ConfigError, FeduafError
 from .sweep import emit_plotdata, run_sweep
 
@@ -30,15 +31,10 @@ def _load_json(path, what: str) -> dict:
 
 def _cmd_gen_data(args) -> int:
     raw = _load_json(args.spec, "spec")
-    if not isinstance(raw, dict):
-        raise ConfigError("spec must be a JSON object of FederationSpec fields")
-    allowed = set(FederationSpec.__dataclass_fields__)
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown spec key {sorted(unknown)[0]!r}")
+    spec = from_dict(FederationSpec, raw)
     if "num_clients" not in raw:
         raise ConfigError("spec requires 'num_clients'")
-    spec = FederationSpec(**raw)
+    spec = replace(spec, seed=0 if spec.seed is None else spec.seed)
     clients = generate_federation(spec)
     save_jsonl(args.out, clients)
     n_samples = sum(len(c.train.samples) + len(c.val.samples) + len(c.test.samples)

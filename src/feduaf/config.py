@@ -4,16 +4,26 @@ An empty object is a valid config: every key has a default, and the
 defaults for rounds/epochs/lr/passes/hidden width are the protocol's
 reference values (R=100, E=5, lr=1e-3, T=5, width 128). Parsing is strict:
 unknown keys and out-of-range values are errors that name the key.
+
+Each field declares its default and its rule once, next to each other;
+`from_dict` parses JSON objects and `check_fields` checks objects built in
+Python, both from those declarations. This module imports only
+`exceptions`, so every other module can import from it.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .exceptions import ConfigError, ParseError
-from .fedsim import STRATEGIES
+
+RELIABILITY_WEIGHTED = "reliability_weighted"
+UNIFORM = "uniform"
+DATA_SIZE = "data_size"
+FEDPROX = "fedprox"
+STRATEGIES = (RELIABILITY_WEIGHTED, UNIFORM, DATA_SIZE, FEDPROX)
 
 
 def _is_int(v) -> bool:
@@ -24,210 +34,163 @@ def _is_num(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _take(section: dict, path: str, key: str, default, check, desc: str):
-    if key in section:
-        val = section.pop(key)
+def _rule(default, desc: str, ok, nullable: bool = False):
+    """A field with `default` whose values must satisfy `ok` (or be None,
+    when `nullable`); errors quote `desc`."""
+    meta = {"desc": ("null or " if nullable else "") + desc,
+            "ok": (lambda v: v is None or ok(v)) if nullable else ok}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+def _int(default, lo: int, nullable: bool = False):
+    return _rule(default, f"an integer >= {lo}",
+                 lambda v: _is_int(v) and v >= lo, nullable)
+
+
+def _num(default, lo, hi=None, open_lo: bool = False, open_hi: bool = False):
+    if hi is None:
+        desc = f"a number {'>' if open_lo else '>='} {lo}"
     else:
-        val = default
-    if not check(val):
-        raise ConfigError(
-            f"config key '{path}.{key}' expects {desc}, got {val!r}"
-        )
-    return val
+        desc = f"a number in {'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
+    return _rule(default, desc, lambda v: _is_num(v)
+                 and (lo < v if open_lo else lo <= v)
+                 and (hi is None or (v < hi if open_hi else v <= hi)))
 
 
-def _finish_section(section: dict, path: str):
-    if section:
-        raise ConfigError(f"unknown config key '{path}.{sorted(section)[0]}'")
+def _bool(default):
+    return _rule(default, "a boolean", lambda v: isinstance(v, bool))
+
+
+def _text(default, nullable: bool = False):
+    return _rule(default, "a non-empty string",
+                 lambda v: isinstance(v, str) and v != "", nullable)
 
 
 @dataclass
-class FederationConfig:
-    num_clients: int = 10
-    samples_per_client: int = 100
-    noniid_intensity: float = 0.0
-    missing_ratio: float = 0.0
-    noisy_ratio: float = 0.0
-    seed: int | None = None  # null means: use the run seed
-    feature_dim: int = 20
-    latent_dim: int = 8
+class FederationSpec:
+    """The `federation` config section, and the spec `feduaf gen-data`
+    reads. `seed: None` means: use the run seed (gen-data uses 0)."""
+
+    num_clients: int = _int(10, 2)
+    samples_per_client: int = _int(100, 2)
+    noniid_intensity: float = _num(0.0, 0, 1)  # client style spread knob
+    missing_ratio: float = _num(0.0, 0, 1, open_hi=True)  # per (sample, modality)
+    noisy_ratio: float = _num(0.0, 0, 1)
+    seed: int | None = _int(None, 0, nullable=True)
+    feature_dim: int = _int(20, 1)
+    latent_dim: int = _int(8, 1)
+
+    def validate(self):
+        check_fields(self)
 
 
 @dataclass
 class ModelConfig:
-    hidden_dim: int = 128
-    fusion_dim: int = 128
-    dropout: float = 0.1
+    hidden_dim: int = _int(128, 1)
+    fusion_dim: int | None = _int(None, 1)  # None: hidden_dim; explicit null is rejected
+    dropout: float = _num(0.1, 0, 1, open_hi=True)
+
+    def __post_init__(self):
+        if self.fusion_dim is None:
+            self.fusion_dim = self.hidden_dim
 
 
 @dataclass
 class UncertaintyConfig:
-    passes: int = 5
+    passes: int = _int(5, 2)
 
 
 @dataclass
 class TrainingConfig:
-    rounds: int = 100
-    local_epochs: int = 5
-    lr: float = 1e-3
-    batch_size: int = 32
-    fedprox_mu: float = 0.01
-    participation: float = 1.0
+    rounds: int = _int(100, 1)
+    local_epochs: int = _int(5, 0)
+    lr: float = _num(1e-3, 0, open_lo=True)
+    batch_size: int = _int(32, 1)
+    fedprox_mu: float = _num(0.01, 0)
+    participation: float = _num(1.0, 0, 1, open_lo=True)
 
 
 @dataclass
 class ReliabilityConfig:
-    epsilon: float = 1e-8
-    max_samples: int = 256
+    epsilon: float = _num(1e-8, 0, open_lo=True)
+    max_samples: int = _int(256, 1)
 
 
 @dataclass
 class AblationConfig:
-    ua_fusion: bool = True
-    rel_agg: bool = True
+    ua_fusion: bool = _bool(True)
+    rel_agg: bool = _bool(True)
 
 
 @dataclass
 class ExperimentConfig:
-    federation: FederationConfig = field(default_factory=FederationConfig)
+    federation: FederationSpec = field(default_factory=FederationSpec)
     model: ModelConfig = field(default_factory=ModelConfig)
     uncertainty: UncertaintyConfig = field(default_factory=UncertaintyConfig)
     training: TrainingConfig = field(default_factory=TrainingConfig)
     reliability: ReliabilityConfig = field(default_factory=ReliabilityConfig)
     ablation: AblationConfig = field(default_factory=AblationConfig)
-    strategy: str = "reliability_weighted"
-    noise_gamma: float = 1.0
-    share_encoders: bool = False
-    seeds: list = field(default_factory=lambda: [1, 2, 3])
-    output_dir: str = "runs"
-    data_path: str | None = None
+    strategy: str = _rule(RELIABILITY_WEIGHTED, f"one of {STRATEGIES}",
+                          lambda v: v in STRATEGIES)
+    noise_gamma: float = _num(1.0, 0)
+    share_encoders: bool = _bool(False)
+    seeds: list = _rule([1, 2, 3], "a non-empty list of integers >= 0",
+                        lambda v: isinstance(v, list) and len(v) >= 1
+                        and all(_is_int(s) and s >= 0 for s in v))
+    output_dir: str = _text("runs")
+    data_path: str | None = _text(None, nullable=True)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
+def _key(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
+def _check(f, value, key: str):
+    if not f.metadata["ok"](value):
+        raise ConfigError(f"config key '{key}' expects {f.metadata['desc']}, got {value!r}")
+
+
+def from_dict(cls, raw, path: str = ""):
+    """Build dataclass `cls` from a JSON object. Absent keys keep the
+    declared defaults, section fields recurse, and an unknown key or a value
+    breaking its field's rule raises ConfigError naming the key path."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config key '{path}' must be an object" if path
+                          else "config root must be a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown config key '{_key(path, unknown[0])}'")
+    values = {}
+    for f in fields(cls):
+        if f.name not in raw:
+            continue
+        key = _key(path, f.name)
+        if is_dataclass(f.default_factory):
+            values[f.name] = from_dict(f.default_factory, raw[f.name], key)
+        else:
+            _check(f, raw[f.name], key)
+            values[f.name] = copy.deepcopy(raw[f.name])
+    return cls(**values)
+
+
+def check_fields(obj, path: str = ""):
+    """Apply every field rule to a config dataclass built in Python."""
+    for f in fields(obj):
+        value, key = getattr(obj, f.name), _key(path, f.name)
+        if is_dataclass(f.default_factory):
+            check_fields(value, key)
+        else:
+            _check(f, value, key)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a validated config with defaults filled in."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    d = copy.deepcopy(raw)
-
-    fed_raw = d.pop("federation", {})
-    if not isinstance(fed_raw, dict):
-        raise ConfigError("config key 'federation' must be an object")
-    fed = FederationConfig(
-        num_clients=_take(fed_raw, "federation", "num_clients", 10,
-                          lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
-        samples_per_client=_take(fed_raw, "federation", "samples_per_client", 100,
-                                 lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
-        noniid_intensity=_take(fed_raw, "federation", "noniid_intensity", 0.0,
-                               lambda v: _is_num(v) and 0.0 <= v <= 1.0,
-                               "a number in [0, 1]"),
-        missing_ratio=_take(fed_raw, "federation", "missing_ratio", 0.0,
-                            lambda v: _is_num(v) and 0.0 <= v < 1.0,
-                            "a number in [0, 1)"),
-        noisy_ratio=_take(fed_raw, "federation", "noisy_ratio", 0.0,
-                          lambda v: _is_num(v) and 0.0 <= v <= 1.0,
-                          "a number in [0, 1]"),
-        seed=_take(fed_raw, "federation", "seed", None,
-                   lambda v: v is None or (_is_int(v) and v >= 0),
-                   "null or an integer >= 0"),
-        feature_dim=_take(fed_raw, "federation", "feature_dim", 20,
-                          lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-        latent_dim=_take(fed_raw, "federation", "latent_dim", 8,
-                         lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    )
-    _finish_section(fed_raw, "federation")
-
-    model_raw = d.pop("model", {})
-    if not isinstance(model_raw, dict):
-        raise ConfigError("config key 'model' must be an object")
-    hidden = _take(model_raw, "model", "hidden_dim", 128,
-                   lambda v: _is_int(v) and v >= 1, "an integer >= 1")
-    model = ModelConfig(
-        hidden_dim=hidden,
-        fusion_dim=_take(model_raw, "model", "fusion_dim", hidden,
-                         lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-        dropout=_take(model_raw, "model", "dropout", 0.1,
-                      lambda v: _is_num(v) and 0.0 <= v < 1.0,
-                      "a number in [0, 1)"),
-    )
-    _finish_section(model_raw, "model")
-
-    unc_raw = d.pop("uncertainty", {})
-    if not isinstance(unc_raw, dict):
-        raise ConfigError("config key 'uncertainty' must be an object")
-    unc = UncertaintyConfig(
-        passes=_take(unc_raw, "uncertainty", "passes", 5,
-                     lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
-    )
-    _finish_section(unc_raw, "uncertainty")
-
-    train_raw = d.pop("training", {})
-    if not isinstance(train_raw, dict):
-        raise ConfigError("config key 'training' must be an object")
-    training = TrainingConfig(
-        rounds=_take(train_raw, "training", "rounds", 100,
-                     lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-        local_epochs=_take(train_raw, "training", "local_epochs", 5,
-                           lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-        lr=_take(train_raw, "training", "lr", 1e-3,
-                 lambda v: _is_num(v) and v > 0, "a number > 0"),
-        batch_size=_take(train_raw, "training", "batch_size", 32,
-                         lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-        fedprox_mu=_take(train_raw, "training", "fedprox_mu", 0.01,
-                         lambda v: _is_num(v) and v >= 0, "a number >= 0"),
-        participation=_take(train_raw, "training", "participation", 1.0,
-                            lambda v: _is_num(v) and 0.0 < v <= 1.0,
-                            "a number in (0, 1]"),
-    )
-    _finish_section(train_raw, "training")
-
-    rel_raw = d.pop("reliability", {})
-    if not isinstance(rel_raw, dict):
-        raise ConfigError("config key 'reliability' must be an object")
-    rel = ReliabilityConfig(
-        epsilon=_take(rel_raw, "reliability", "epsilon", 1e-8,
-                      lambda v: _is_num(v) and v > 0, "a number > 0"),
-        max_samples=_take(rel_raw, "reliability", "max_samples", 256,
-                          lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    )
-    _finish_section(rel_raw, "reliability")
-
-    abl_raw = d.pop("ablation", {})
-    if not isinstance(abl_raw, dict):
-        raise ConfigError("config key 'ablation' must be an object")
-    ablation = AblationConfig(
-        ua_fusion=_take(abl_raw, "ablation", "ua_fusion", True,
-                        lambda v: isinstance(v, bool), "a boolean"),
-        rel_agg=_take(abl_raw, "ablation", "rel_agg", True,
-                      lambda v: isinstance(v, bool), "a boolean"),
-    )
-    _finish_section(abl_raw, "ablation")
-
-    strategy = _take(d, "<root>", "strategy", "reliability_weighted",
-                     lambda v: v in STRATEGIES, f"one of {STRATEGIES}")
-    noise_gamma = _take(d, "<root>", "noise_gamma", 1.0,
-                        lambda v: _is_num(v) and v >= 0, "a number >= 0")
-    share_encoders = _take(d, "<root>", "share_encoders", False,
-                           lambda v: isinstance(v, bool), "a boolean")
-    seeds = _take(d, "<root>", "seeds", [1, 2, 3],
-                  lambda v: isinstance(v, list) and len(v) >= 1
-                  and all(_is_int(s) and s >= 0 for s in v),
-                  "a non-empty list of integers >= 0")
-    output_dir = _take(d, "<root>", "output_dir", "runs",
-                       lambda v: isinstance(v, str) and v, "a non-empty string")
-    data_path = _take(d, "<root>", "data_path", None,
-                      lambda v: v is None or (isinstance(v, str) and v),
-                      "null or a non-empty string")
-    if d:
-        raise ConfigError(f"unknown config key '{sorted(d)[0]}'")
-    return ExperimentConfig(
-        federation=fed, model=model, uncertainty=unc, training=training,
-        reliability=rel, ablation=ablation, strategy=strategy,
-        noise_gamma=noise_gamma, share_encoders=share_encoders,
-        seeds=list(seeds), output_dir=output_dir, data_path=data_path,
-    )
+    return from_dict(ExperimentConfig, raw)
 
 
 def parse_config(path) -> ExperimentConfig:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import FederationSpec
 from .exceptions import ConfigError, ParseError, ValidationError
 from .fusion import MODALITIES, ModalityMask
 from .rng import Rng
@@ -73,33 +74,6 @@ class ClientData:
     val: ClientDataset
     test: ClientDataset
     is_noisy: bool = False
-
-
-@dataclass
-class FederationSpec:
-    num_clients: int
-    samples_per_client: int = 100
-    noniid_intensity: float = 0.0  # client style spread knob, in [0, 1]
-    missing_ratio: float = 0.0  # per (sample, modality) drop probability
-    noisy_ratio: float = 0.0
-    seed: int = 0
-    feature_dim: int = 20
-    latent_dim: int = 8
-
-    def validate(self):
-        checks = [
-            (self.num_clients >= 2, "num_clients must be >= 2"),
-            (self.samples_per_client >= 2, "samples_per_client must be >= 2"),
-            (0.0 <= self.noniid_intensity <= 1.0, "noniid_intensity must be in [0, 1]"),
-            (0.0 <= self.missing_ratio < 1.0, "missing_ratio must be in [0, 1)"),
-            (0.0 <= self.noisy_ratio <= 1.0, "noisy_ratio must be in [0, 1]"),
-            (isinstance(self.seed, int) and self.seed >= 0, "seed must be >= 0"),
-            (self.feature_dim >= 1, "feature_dim must be >= 1"),
-            (self.latent_dim >= 1, "latent_dim must be >= 1"),
-        ]
-        for ok, msg in checks:
-            if not ok:
-                raise ConfigError(msg)
 
 
 def split_dataset(dataset: ClientDataset) -> ClientData:
@@ -304,7 +278,7 @@ def _parse_line(line: str, lineno: int, dims_seen: dict) -> tuple:
     if not isinstance(mask_rec, dict) or set(mask_rec) != set(MODALITIES):
         raise ValidationError(f"line {lineno}: mask must have exactly keys {MODALITIES}")
     for m, bit in mask_rec.items():
-        if bit not in (0, 1):
+        if isinstance(bit, bool) or bit not in (0, 1):
             raise ValidationError(f"line {lineno}: mask[{m!r}] must be 0 or 1")
     mask = ModalityMask({m: bool(mask_rec[m]) for m in MODALITIES})
     if not mask.modalities():
@@ -333,7 +307,8 @@ def _parse_line(line: str, lineno: int, dims_seen: dict) -> tuple:
         features[m] = arr
     label = rec["label"]
     lo, hi = LABEL_RANGE
-    if not isinstance(label, (int, float)) or not np.isfinite(label) or not lo <= label <= hi:
+    if (isinstance(label, bool) or not isinstance(label, (int, float))
+            or not np.isfinite(label) or not lo <= label <= hi):
         raise ValidationError(f"line {lineno}: label must be a number in [{lo}, {hi}]")
     return cid, Sample(features, mask, float(label))
 

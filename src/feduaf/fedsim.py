@@ -14,13 +14,19 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import (  # noqa: F401  (STRATEGIES is re-exported)
+    DATA_SIZE,
+    FEDPROX,
+    RELIABILITY_WEIGHTED,
+    STRATEGIES,
+    UNIFORM,
+)
 from .datagen import (
     ClientData,
-    FederationSpec,
     batch_from_samples,
     generate_federation,
     load_jsonl,
@@ -42,12 +48,6 @@ from .nn import TRAIN, AdamState, adam_step, mse_loss_batch
 from .rng import Rng
 from .serialize import save_params
 from .uncertainty import fused_uncertainties, probe_uncertainties
-
-RELIABILITY_WEIGHTED = "reliability_weighted"
-UNIFORM = "uniform"
-DATA_SIZE = "data_size"
-FEDPROX = "fedprox"
-STRATEGIES = (RELIABILITY_WEIGHTED, UNIFORM, DATA_SIZE, FEDPROX)
 
 
 @dataclass
@@ -361,20 +361,14 @@ def build_federation_data(config, seed: int) -> list:
     fed = config.federation
     if config.data_path:
         datasets = sorted(load_jsonl(config.data_path), key=lambda d: d.client_id)
+        if len(datasets) < 2:
+            raise ConfigError(f"{config.data_path}: a federation needs at least "
+                              f"2 clients, found {len(datasets)}")
         clients = [split_dataset(ds) for ds in datasets]
         return mark_noisy_clients(clients, fed.noisy_ratio,
                                   Rng(seed).derive("noisy-mark"))
-    spec = FederationSpec(
-        num_clients=fed.num_clients,
-        samples_per_client=fed.samples_per_client,
-        noniid_intensity=fed.noniid_intensity,
-        missing_ratio=fed.missing_ratio,
-        noisy_ratio=fed.noisy_ratio,
-        seed=fed.seed if fed.seed is not None else seed,
-        feature_dim=fed.feature_dim,
-        latent_dim=fed.latent_dim,
-    )
-    return generate_federation(spec)
+    return generate_federation(
+        replace(fed, seed=seed if fed.seed is None else fed.seed))
 
 
 def _data_feature_dims(clients: list, default_dim: int) -> dict:

@@ -119,12 +119,13 @@ def extract_shared(model: ModelParams, share_encoders: bool = False) -> list:
 
 
 def assign_shared(model: ModelParams, tensors: list, share_encoders: bool = False):
-    """Copy named tensors into the exchanged block of this bundle."""
-    mapping = dict(tensors)
-    for name, off, shape in model.shared_layout(share_encoders):
-        if name not in mapping:
-            raise ShapeError(f"missing tensor {name!r}")
-        src = mapping[name]
+    """Copy named tensors into the exchanged block of this bundle; their
+    names must be exactly the block's layout, in order."""
+    layout = model.shared_layout(share_encoders)
+    names = [name for name, _ in tensors]
+    if names != [name for name, _, _ in layout]:
+        raise ShapeError(f"tensors {names} do not match the exchanged layout")
+    for (name, src), (_, off, shape) in zip(tensors, layout):
         if src.shape != shape:
             raise ShapeError(f"tensor {name!r} has shape {src.shape}, expected {shape}")
         model.theta[off:off + src.size] = src.ravel()

@@ -38,16 +38,20 @@ def to_container(tensors: list) -> dict:
 
 def from_container(doc: dict) -> list:
     """Parse a container, rejecting anything `to_container` could not have
-    written: missing keys, malformed shapes, short data or non-finite values."""
+    written: missing keys, non-string or repeated names, malformed shapes,
+    short data or non-finite values."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ValidationError("not a feduaf.params container")
     if doc.get("version") != FORMAT_VERSION:
         raise ValidationError(f"unsupported container version {doc.get('version')!r}")
-    out = []
+    out, names = [], set()
     for entry in doc.get("tensors", []):
         if not isinstance(entry, dict) or not {"name", "shape", "data"} <= entry.keys():
             raise ValidationError("each tensor entry needs 'name', 'shape' and 'data'")
         name, shape, data = entry["name"], entry["shape"], entry["data"]
+        if not isinstance(name, str) or name in names:
+            raise ValidationError(f"tensor names must be distinct strings, got {name!r}")
+        names.add(name)
         if not isinstance(shape, list) or not all(
                 isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape):
             raise ValidationError(f"tensor {name!r}: shape must be a list of "

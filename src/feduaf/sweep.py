@@ -4,8 +4,9 @@ A grid is a JSON object whose keys are a subset of
 {noniid_intensity, missing_ratio, noisy_ratio, strategy, ablation} and whose
 values are lists of settings. Every grid point runs once per seed; the
 sweep aggregates final-MAE mean/std per point into sweep.csv (fixed column
-set, rows in grid order, byte-deterministic). Failed cells are recorded in
-sweep_errors.json and the sweep continues.
+set, rows in grid order, byte-deterministic). Cells whose runs raise a
+FeduafError are recorded in sweep_errors.json and the sweep continues; any
+other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig, config_from_dict
-from .exceptions import ConfigError, ValidationError
-from .fedsim import STRATEGIES, run_simulation, threads_from_env
+from .config import STRATEGIES, ExperimentConfig, config_from_dict
+from .exceptions import ConfigError, FeduafError, ValidationError
+from .fedsim import run_simulation, threads_from_env
 
 GRID_AXES = ("noniid_intensity", "missing_ratio", "noisy_ratio", "strategy", "ablation")
 
@@ -91,7 +92,7 @@ def _run_cell_seed(args):
     try:
         summary = run_simulation(config, seed, run_dir, n_threads=1)
         return ("ok", summary["final_mae"])
-    except Exception as exc:  # a failed cell must not abort the sweep
+    except FeduafError as exc:  # a failed cell must not abort the sweep
         return ("error", f"seed {seed}: {type(exc).__name__}: {exc}")
 
 

@@ -20,6 +20,12 @@ SMALL_RUN = {
 }
 
 
+GEN_DATA_SPEC = {"num_clients": 2, "samples_per_client": 4, "feature_dim": 2,
+                 "latent_dim": 2, "noniid_intensity": 1.0, "missing_ratio": 0.5,
+                 "noisy_ratio": 0.5}
+GEN_DATA_REFERENCE = os.path.join(os.path.dirname(__file__), "data", "gen_data_noseed.jsonl")
+
+
 def write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh)
@@ -41,6 +47,29 @@ class TestCli:
         spec = write_json(tmp_path / "spec.json", {"num_clients": 3, "bogus": 1})
         assert main(["gen-data", "--spec", spec, "--out", str(tmp_path / "x")]) == 1
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("num_clients", "5"), ("missing_ratio", "0.5"),
+        ("samples_per_client", 2.5), ("seed", True), ("num_clients", None)])
+    def test_gen_data_bad_value_exits_1(self, tmp_path, capsys, key, value):
+        spec = write_json(tmp_path / "spec.json", {"num_clients": 3, key: value})
+        assert main(["gen-data", "--spec", spec, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{key}'" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_gen_data_requires_num_clients(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", {"samples_per_client": 4})
+        assert main(["gen-data", "--spec", spec, "--out", str(tmp_path / "x")]) == 1
+        assert "num_clients" in capsys.readouterr().err
+
+    def test_gen_data_without_seed_matches_reference_file(self, tmp_path, capsys):
+        # the reference file was written by the gen-data of the release before
+        # FederationSpec became the federation config section
+        spec = write_json(tmp_path / "spec.json", GEN_DATA_SPEC)
+        out = tmp_path / "data.jsonl"
+        assert main(["gen-data", "--spec", spec, "--out", str(out)]) == 0
+        assert out.read_bytes() == open(GEN_DATA_REFERENCE, "rb").read()
 
     def test_run_writes_outputs_and_exits_0(self, tmp_path, capsys):
         cfg = dict(SMALL_RUN, output_dir=str(tmp_path / "out"))
@@ -88,6 +117,13 @@ class TestCli:
         path = write_json(tmp_path / "config.json", cfg)
         code = main(["run", "--config", path])
         assert code == 1  # empty dataset is a validation error
+        # a one-client file is no federation (num_clients >= 2)
+        line = ('{"client_id": "c", "features": {"v": [1.0]}, '
+                '"mask": {"v": 1, "a": 0, "t": 0}, "label": 0.5}\n')
+        data.write_text(line * 6)
+        capsys.readouterr()
+        assert main(["run", "--config", path]) == 1
+        assert "at least 2 clients" in capsys.readouterr().err
 
     def test_plotdata_missing_columns_exits_1(self, tmp_path):
         bad = tmp_path / "sweep.csv"
@@ -188,6 +224,17 @@ class TestSweep:
         with open(result.csv_path) as fh:
             rows = list(csv.DictReader(fh))
         assert all(r["mae_mean"] == "" and r["seed_count"] == "0" for r in rows)
+
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        # only FeduafError marks a cell as failed; a bug must surface
+        def broken(*args, **kwargs):
+            raise TypeError("bug in the simulator")
+
+        monkeypatch.setattr("feduaf.sweep.run_simulation", broken)
+        cfg = self.sweep_config(tmp_path)
+        with pytest.raises(TypeError, match="bug in the simulator"):
+            run_sweep(cfg, {}, cfg.output_dir, n_workers=1)
 
 
 class TestPlotData:

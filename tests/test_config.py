@@ -1,10 +1,12 @@
 """Config parsing: defaults, strict keys, ranges, round-trips."""
 
 import json
+import re
+from dataclasses import fields, is_dataclass
 
 import pytest
 
-from feduaf.config import config_from_dict, parse_config
+from feduaf.config import ExperimentConfig, check_fields, config_from_dict, parse_config
 from feduaf.exceptions import ConfigError, ParseError
 
 
@@ -46,9 +48,41 @@ def test_bool_is_not_a_number():
         config_from_dict({"training": {"rounds": True}})
 
 
+# wrong-typed values per declared field type; None is added for fields
+# whose type does not admit it
+WRONG_VALUES = {
+    "int": ["5", True, 2.5],
+    "float": ["0.5", True],
+    "bool": ["true", 1],
+    "str": [5, True],
+    "list": ["1", [True], [1.5]],
+}
+
+
+def test_every_field_rejects_wrong_types():
+    check_fields(config_from_dict({}))  # the declared defaults obey their rules
+    sections = [("", ExperimentConfig)] + [
+        (f.name, f.default_factory) for f in fields(ExperimentConfig)
+        if is_dataclass(f.default_factory)]
+    for section, cls in sections:
+        for f in fields(cls):
+            if is_dataclass(f.default_factory):
+                continue
+            wrong = WRONG_VALUES[f.type.split(" | ")[0]]
+            if "None" not in f.type:
+                wrong = wrong + [None]
+            key = f"{section}.{f.name}" if section else f.name
+            for value in wrong:
+                raw = {section: {f.name: value}} if section else {f.name: value}
+                with pytest.raises(ConfigError, match=f"'{re.escape(key)}' expects"):
+                    config_from_dict(raw)
+
+
 def test_fusion_dim_defaults_to_hidden():
     cfg = config_from_dict({"model": {"hidden_dim": 48}})
     assert cfg.model.fusion_dim == 48
+    with pytest.raises(ConfigError, match="model.fusion_dim"):
+        config_from_dict({"model": {"hidden_dim": 48, "fusion_dim": None}})
 
 
 def test_round_trip_identity():

@@ -101,6 +101,10 @@ class TestGenerateFederation:
             generate_federation(FederationSpec(num_clients=1))
         with pytest.raises(ConfigError):
             generate_federation(FederationSpec(num_clients=2, missing_ratio=1.0))
+        for bad in ({"num_clients": "5"}, {"missing_ratio": "0.5"},
+                    {"samples_per_client": 2.5}, {"seed": True}, {"seed": None}):
+            with pytest.raises(ConfigError):
+                generate_federation(FederationSpec(**{"num_clients": 3, **bad}))
 
 
 class TestInjectMissing:
@@ -258,10 +262,19 @@ class TestJsonl:
 
     def test_label_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"client_id": "c", "features": {"v": [1.0]}, '
-                        '"mask": {"v": 1, "a": 0, "t": 0}, "label": 3.5}\n')
-        with pytest.raises(ValidationError, match="line 1"):
-            load_jsonl(path)
+        for label in ("3.5", "true"):
+            path.write_text('{"client_id": "c", "features": {"v": [1.0]}, '
+                            '"mask": {"v": 1, "a": 0, "t": 0}, "label": %s}\n' % label)
+            with pytest.raises(ValidationError, match="line 1"):
+                load_jsonl(path)
+
+    def test_bool_mask_bits_rejected(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        for mask in ('{"v": true, "a": 0, "t": 0}', '{"v": 1, "a": false, "t": 0}'):
+            path.write_text('{"client_id": "c", "features": {"v": [1.0]}, '
+                            '"mask": %s, "label": 0.5}\n' % mask)
+            with pytest.raises(ValidationError, match="line 1"):
+                load_jsonl(path)
 
     def test_inconsistent_dims_rejected(self, tmp_path):
         line1 = ('{"client_id": "c", "features": {"v": [1.0, 2.0]}, '

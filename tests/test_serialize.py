@@ -48,10 +48,13 @@ def test_assign_rejects_shape_mismatch():
 
 def test_assign_rejects_missing_tensor():
     tensors = extract_shared(model(2))
-    with pytest.raises(ShapeError):
-        assign_shared(model(2), [])
-    with pytest.raises(ShapeError):
-        assign_shared(model(2), tensors[1:])
+    name, arr = tensors[0]
+    for bad in ([], tensors[1:], tensors + [("junk.extra", arr)],
+                tensors + [(name, np.zeros_like(arr))]):
+        dst = model(2)
+        with pytest.raises(ShapeError):
+            assign_shared(dst, bad)
+        assert np.array_equal(dst.shared_head.layers[0].weights, arr)
 
 
 def test_container_rejects_wrong_format():
@@ -85,6 +88,10 @@ def test_container_rejects_incomplete_entry():
         from_container(container("w"))
     with pytest.raises(ValidationError):
         from_container(container({"name": "w", "shape": [1], "data": ["x"]}))
+    for names in ([7], [None], ["w", "w"]):
+        with pytest.raises(ValidationError):
+            from_container(container(*({"name": n, "shape": [1], "data": [1.0]}
+                                       for n in names)))
 
 
 def test_container_rejects_nonfinite():
