@@ -3,7 +3,7 @@
 Subcommands: gen-data (write a synthetic federation as JSONL), run (single
 training run), sweep (grid x seeds with CSV aggregation), plotdata (tidy
 per-figure CSVs from a sweep). Exit codes: 0 success, 1 config/validation
-error, 2 runtime/numeric error.
+error, 2 runtime/numeric error or a failure to write outputs.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def main(argv=None) -> int:
     except CONFIG_EXIT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FeduafError as exc:
+    except (FeduafError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

@@ -422,12 +422,12 @@ def run_simulation(config, seed: int, run_dir, n_threads: int | None = None) -> 
     if n_threads is None:
         n_threads = threads_from_env()
     t_start = time.perf_counter()
+    os.makedirs(run_dir, exist_ok=True)
     state = init_federation(config, seed)
     run_rng = Rng(seed).derive("protocol")
     for client in state.clients:
         assign_shared(client.model, state.shared, config.share_encoders)
     initial_mae = evaluate_mae(state.clients, config, run_rng.derive("eval", 0))
-    os.makedirs(run_dir, exist_ok=True)
     rounds_path = os.path.join(run_dir, "rounds.jsonl")
     with open(rounds_path, "w", encoding="utf-8") as fh:
         for _ in range(config.training.rounds):

@@ -49,10 +49,12 @@ class ModelParams:
         for prefix, layer in layers:
             for attr, suffix in (("weights", "weight"), ("bias", "bias")):
                 shape = getattr(layer, attr).shape
-                size = math.prod(shape)
                 self.layout.append((f"{prefix}.{suffix}", offset, shape))
-                setattr(layer, attr, self.theta[offset:offset + size].reshape(shape))
-                offset += size
+                offset += math.prod(shape)
+        views = self.layer_views(self.theta)
+        for name, mlp in self.components():
+            for layer, (w, b) in zip(mlp.layers, views[name]):
+                layer.weights, layer.bias = w, b
 
     def validate(self):
         if set(self.encoders) != set(MODALITIES):
@@ -70,6 +72,14 @@ class ModelParams:
             raise ShapeError("shared head output does not feed prediction head")
         if self.prediction_head.out_dim != 1:
             raise ShapeError("prediction head must output a scalar")
+
+    def layer_views(self, flat: np.ndarray) -> dict:
+        """Component name -> per-layer (weights, bias) views into `flat`, a
+        vector laid out like `theta`."""
+        views = iter(flat[off:off + math.prod(shape)].reshape(shape)
+                     for _, off, shape in self.layout)
+        return {name: [(next(views), next(views)) for _ in mlp.layers]
+                for name, mlp in self.components()}
 
     def components(self) -> list:
         """Canonical (name, Mlp) order of `theta` and of gradient vectors."""
@@ -166,35 +176,45 @@ def backward_fused(model: ModelParams, tape: FusedTape, dpreds: np.ndarray) -> n
     """Gradient of one fused pass as one vector aligned with `model.theta`.
 
     Fusion weights act as constants: each encoder sees its representation
-    gradient scaled by alpha_m (zero for missing/zero-weight samples).
+    gradient scaled by alpha_m (zero for missing/zero-weight samples). Every
+    layer's gradient is written straight into its slot of the vector.
     """
     dpreds = np.asarray(dpreds, dtype=np.float64)
-    g_pred = backward(model.prediction_head, tape.pred_tape, dpreds[:, None])
-    g_shared = backward(model.shared_head, tape.shared_tape, g_pred.input_grad)
+    grad = np.empty_like(model.theta)
+    views = model.layer_views(grad)
+    g_pred = backward(model.prediction_head, tape.pred_tape, dpreds[:, None],
+                      out=views["prediction_head"])
+    g_shared = backward(model.shared_head, tape.shared_tape, g_pred.input_grad,
+                        out=views["shared_head"])
     dh = g_shared.input_grad  # (B, fusion_dim)
-    grads = []
     for mi, m in enumerate(MODALITIES):
         d_rep = tape.alpha[:, mi:mi + 1] * dh
-        g_enc = backward(model.encoders[m], tape.encoder_tapes[m], d_rep)
-        grads.extend(g_enc.flat_list())
-    grads.extend(g_shared.flat_list())
-    grads.extend(g_pred.flat_list())
-    return np.concatenate([g.ravel() for g in grads])
+        backward(model.encoders[m], tape.encoder_tapes[m], d_rep,
+                 out=views[f"encoder.{m}"])
+    return grad
 
 
-def probe_predictions(model: ModelParams, modality: str, x: np.ndarray,
-                      T: int, rng: Rng) -> np.ndarray:
-    """T stochastic single-modality passes; returns (T, B) predictions.
+def probe_predictions(model: ModelParams, feats: dict, mask: np.ndarray,
+                      T: int, rng: Rng) -> dict:
+    """T stochastic single-modality passes over the available rows of each
+    modality; returns {m: (T, n_m)}, n_m the number of rows with m available.
 
-    Routes only `modality` through its encoder and the heads (fusion weight
-    1 on that channel), with fresh dropout masks on every pass.
+    Each modality's available rows, tiled T times, go through its own
+    encoder (fusion weight 1 on that channel); the encoder outputs of all
+    modalities then go through the shared and prediction heads in one pass.
+    Every row draws fresh dropout masks.
     """
-    x = np.asarray(x, dtype=np.float64)
-    tiled = np.tile(x, (T, 1))
-    rep, _ = forward(model.encoders[modality], tiled, TRAIN, rng)
-    s, _ = forward(model.shared_head, rep, TRAIN, rng)
+    mask = np.asarray(mask, dtype=bool)
+    reps = []
+    for mi, m in enumerate(MODALITIES):
+        rows = np.asarray(feats[m], dtype=np.float64)[mask[:, mi]]
+        rep, _ = forward(model.encoders[m], np.tile(rows, (T, 1)), TRAIN, rng)
+        reps.append(rep)
+    s, _ = forward(model.shared_head, np.concatenate(reps), TRAIN, rng)
     out, _ = forward(model.prediction_head, s, TRAIN, rng)
-    return out[:, 0].reshape(T, x.shape[0])
+    counts = mask.sum(axis=0)
+    parts = np.split(out[:, 0], T * np.cumsum(counts)[:-1])
+    return {m: part.reshape(T, n) for m, part, n in zip(MODALITIES, parts, counts)}
 
 
 def fused_mc_predictions(model: ModelParams, feats: dict, alpha: np.ndarray,

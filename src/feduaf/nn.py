@@ -195,12 +195,14 @@ class MlpGradients:
         return out
 
 
-def backward(mlp: Mlp, tape: Tape, loss_grad: np.ndarray) -> MlpGradients:
+def backward(mlp: Mlp, tape: Tape, loss_grad: np.ndarray, out=None) -> MlpGradients:
     """Backprop the loss gradient through a taped forward pass.
 
     Dropout masks recorded on the tape are respected: dropped units pass no
     gradient. Returns per-parameter gradients plus the gradient w.r.t. the
-    forward input (used to chain encoders through fusion).
+    forward input (used to chain encoders through fusion). `out`, if given,
+    holds one (d_weights, d_bias) pair of arrays per layer to write the
+    gradients into; otherwise they are allocated.
     """
     if tape.mlp_id != id(mlp):
         raise StateError("tape was produced by a different network")
@@ -209,7 +211,9 @@ def backward(mlp: Mlp, tape: Tape, loss_grad: np.ndarray) -> MlpGradients:
     g, _ = _as_batch(loss_grad, mlp.out_dim, "loss_grad")
     if g.shape[0] != tape.preacts[-1].shape[0]:
         raise ShapeError("loss_grad batch size does not match tape")
-    layer_grads = [None] * len(mlp.layers)
+    if out is None:
+        out = [(np.empty_like(layer.weights), np.empty_like(layer.bias))
+               for layer in mlp.layers]
     for i in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[i]
         z = tape.preacts[i]
@@ -221,12 +225,12 @@ def backward(mlp: Mlp, tape: Tape, loss_grad: np.ndarray) -> MlpGradients:
                 gz = relu_backward(g, z)
         else:
             gz = g
-        dw = gz.T @ tape.inputs[i]
-        db = gz.sum(axis=0)
-        layer_grads[i] = (dw, db)
+        dw, db = out[i]
+        np.matmul(gz.T, tape.inputs[i], out=dw)
+        gz.sum(axis=0, out=db)
         g = gz @ layer.weights
     input_grad = g[0] if tape.single else g
-    return MlpGradients(layers=layer_grads, input_grad=input_grad)
+    return MlpGradients(layers=list(out), input_grad=input_grad)
 
 
 @dataclass

@@ -89,18 +89,14 @@ def probe_uncertainties(model: ModelParams, feats: dict, mask: np.ndarray,
                         T: int, rng: Rng) -> np.ndarray:
     """Per-modality probe variances for a batch; (B, 3), NaN where missing.
 
-    For each modality with any available sample, runs T single-modality
-    stochastic passes and takes the per-sample population variance.
+    Runs T single-modality stochastic passes over the available rows only
+    and takes each (sample, modality) pair's population variance.
     """
     mask = np.asarray(mask, dtype=bool)
-    b = mask.shape[0]
-    u = np.full((b, len(MODALITIES)), np.nan)
+    u = np.full((mask.shape[0], len(MODALITIES)), np.nan)
+    preds = probe_predictions(model, feats, mask, T, rng)
     for mi, m in enumerate(MODALITIES):
-        if not mask[:, mi].any():
-            continue
-        preds = probe_predictions(model, m, feats[m], T, rng)
-        u[:, mi] = population_variance(preds)
-    u[~mask] = np.nan
+        u[mask[:, mi], mi] = population_variance(preds[m])
     return u
 
 

@@ -125,6 +125,18 @@ class TestCli:
         assert main(["run", "--config", path]) == 1
         assert "at least 2 clients" in capsys.readouterr().err
 
+    def test_unwritable_output_dir_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        path = write_json(tmp_path / "config.json",
+                          dict(SMALL_RUN, output_dir=str(blocker / "out")))
+        grid = write_json(tmp_path / "grid.json", {})
+        for argv in (["run", "--config", path],
+                     ["sweep", "--config", path, "--grid", grid]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("runtime error: ") and "file" in err
+
     def test_plotdata_missing_columns_exits_1(self, tmp_path):
         bad = tmp_path / "sweep.csv"
         bad.write_text("a,b\n1,2\n")

@@ -75,8 +75,8 @@ class TestForwardFused:
         feats, _, _ = random_batch()
         alpha = np.array([[0.0, 0.0, 1.0]] * 4)
         fused = predict_eval(model, feats, alpha)
-        probe = probe_predictions(model, "t", feats["t"], 2, Rng(0))
-        np.testing.assert_allclose(fused, probe[0], rtol=1e-12)
+        probe = probe_predictions(model, feats, np.ones((4, 3), dtype=bool), 2, Rng(0))
+        np.testing.assert_allclose(fused, probe["t"][0], rtol=1e-12)
 
 
 class TestBackwardFused:
@@ -235,11 +235,29 @@ class TestSharedBlock:
 class TestMcPaths:
     def test_probe_shape_and_determinism(self):
         model = tiny_model(dropout=0.3)
-        x = Rng(1).normal(size=(6, DIMS["a"]))
-        a = probe_predictions(model, "a", x, 5, Rng(9))
-        b = probe_predictions(model, "a", x, 5, Rng(9))
-        assert a.shape == (5, 6)
-        assert np.array_equal(a, b)
+        feats = {m: Rng(1).normal(size=(6, DIMS[m])) for m in MODALITIES}
+        mask = np.zeros((6, 3), dtype=bool)
+        mask[:, 1] = True
+        a = probe_predictions(model, feats, mask, 5, Rng(9))
+        b = probe_predictions(model, feats, mask, 5, Rng(9))
+        assert a["a"].shape == (5, 6)
+        assert all(np.array_equal(a[m], b[m]) for m in MODALITIES)
+
+    def test_probe_rows_match_single_modality_eval(self):
+        # the heads run once over all modalities' rows; splitting the
+        # output back must hand each modality exactly its own rows
+        model = tiny_model(dropout=0.0)
+        feats, _, _ = random_batch(b=6)
+        mask = np.array([[1, 0, 1], [0, 1, 1], [1, 0, 0],
+                         [0, 0, 1], [1, 0, 0], [1, 1, 0]], dtype=bool)
+        probe = probe_predictions(model, feats, mask, 3, Rng(0))
+        for mi, m in enumerate(MODALITIES):
+            alpha = np.zeros((6, 3))
+            alpha[:, mi] = 1.0
+            expected = predict_eval(model, feats, alpha)[mask[:, mi]]
+            assert probe[m].shape == (3, int(mask[:, mi].sum()))
+            for row in probe[m]:
+                np.testing.assert_allclose(row, expected, rtol=1e-12)
 
     def test_fused_mc_zero_dropout_collapses(self):
         model = tiny_model(dropout=0.0)

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from feduaf.datagen import Sample
 from feduaf.exceptions import ConfigError, DegenerateInputError, ValidationError
 from feduaf.fusion import MODALITIES, ModalityMask
+import feduaf.model
 from feduaf.model import init_model_params
 from feduaf.rng import Rng
 from feduaf.uncertainty import (
     entropy_uncertainty,
     mc_predict,
     modality_uncertainties,
+    probe_uncertainties,
     variance_uncertainty,
 )
 
@@ -144,6 +146,60 @@ class TestMcPredict:
         empty = Sample({}, ModalityMask({m: False for m in MODALITIES}), s.label)
         with pytest.raises(DegenerateInputError):
             mc_predict(tiny_model(), empty, 5, Rng(0))
+
+
+def masked_batch(b=8, seed=4):
+    """Features zero-filled where the modality is missing, with every
+    modality both available and missing somewhere in the batch."""
+    rng = Rng(seed)
+    mask = rng.random((b, 3)) < 0.5
+    mask[0], mask[1] = [True, False, True], [False, True, False]
+    feats = {m: np.where(mask[:, mi:mi + 1], rng.normal(size=(b, 4)), 0.0)
+             for mi, m in enumerate(MODALITIES)}
+    return feats, mask
+
+
+class TestProbeUncertainties:
+    @pytest.mark.parametrize("all_missing", [False, True])
+    def test_nan_exactly_where_missing(self, all_missing):
+        # an all-missing mask gives all-NaN and raises nothing
+        feats, mask = masked_batch()
+        if all_missing:
+            mask[:] = False
+        u = probe_uncertainties(tiny_model(), feats, mask, 5, Rng(2))
+        assert u.shape == (8, 3)
+        assert np.array_equal(np.isnan(u), ~mask)
+        assert (u[mask] > 0.0).all()
+
+    def test_missing_rows_are_never_read(self):
+        model = tiny_model()
+        feats, mask = masked_batch()
+        base = probe_uncertainties(model, feats, mask, 5, Rng(2))
+        garbage = {m: np.where(mask[:, mi:mi + 1], feats[m], fill)
+                   for (mi, m), fill in zip(enumerate(MODALITIES), (np.nan, 1e300, -np.inf))}
+        u = probe_uncertainties(model, garbage, mask, 5, Rng(2))
+        assert np.array_equal(u, base, equal_nan=True)
+
+    def test_forwards_only_available_rows_and_heads_once(self, monkeypatch):
+        model = tiny_model()
+        feats, mask = masked_batch()
+        passes = 5
+        calls = []
+        forward = feduaf.model.forward
+
+        def counting(mlp, x, *args, **kwargs):
+            calls.append((mlp, x.shape[0]))
+            return forward(mlp, x, *args, **kwargs)
+
+        monkeypatch.setattr(feduaf.model, "forward", counting)
+        probe_uncertainties(model, feats, mask, passes, Rng(2))
+        pairs = int(mask.sum())
+        for mi, m in enumerate(MODALITIES):
+            rows = [n for mlp, n in calls if mlp is model.encoders[m]]
+            assert rows == [passes * int(mask[:, mi].sum())]
+        for head in (model.shared_head, model.prediction_head):
+            assert [n for mlp, n in calls if mlp is head] == [passes * pairs]
+        assert len(calls) == 5
 
 
 class TestModalityUncertainties:
