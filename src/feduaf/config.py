@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .exceptions import ConfigError, ParseError
@@ -30,8 +31,16 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_num(v) -> bool:
+def is_number(v) -> bool:
+    """A JSON number; bools are not numbers."""
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def is_finite_list(v) -> bool:
+    """A flat list of finite JSON numbers. The bound is compared exactly, so
+    NaN and an int too large for float64 fail it too."""
+    return isinstance(v, list) and all(
+        is_number(x) and abs(x) <= sys.float_info.max for x in v)
 
 
 def _rule(default, desc: str, ok, nullable: bool = False):
@@ -54,7 +63,7 @@ def _num(default, lo, hi=None, open_lo: bool = False, open_hi: bool = False):
         desc = f"a number {'>' if open_lo else '>='} {lo}"
     else:
         desc = f"a number in {'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
-    return _rule(default, desc, lambda v: _is_num(v)
+    return _rule(default, desc, lambda v: is_number(v)
                  and (lo < v if open_lo else lo <= v)
                  and (hi is None or (v < hi if open_hi else v <= hi)))
 
@@ -136,9 +145,10 @@ class ExperimentConfig:
                           lambda v: v in STRATEGIES)
     noise_gamma: float = _num(1.0, 0)
     share_encoders: bool = _bool(False)
-    seeds: list = _rule([1, 2, 3], "a non-empty list of integers >= 0",
+    seeds: list = _rule([1, 2, 3], "a non-empty list of distinct integers >= 0",
                         lambda v: isinstance(v, list) and len(v) >= 1
-                        and all(_is_int(s) and s >= 0 for s in v))
+                        and all(_is_int(s) and s >= 0 for s in v)
+                        and len(set(v)) == len(v))
     output_dir: str = _text("runs")
     data_path: str | None = _text(None, nullable=True)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import FederationSpec
+from .config import FederationSpec, is_finite_list, is_number
 from .exceptions import ConfigError, ParseError, ValidationError
 from .fusion import MODALITIES, ModalityMask
 from .rng import Rng
@@ -293,11 +293,11 @@ def _parse_line(line: str, lineno: int, dims_seen: dict) -> tuple:
         )
     features = {}
     for m, vec in feats_rec.items():
-        arr = np.asarray(vec, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0 or not np.isfinite(arr).all():
+        if not is_finite_list(vec) or not vec:
             raise ValidationError(
-                f"line {lineno}: features[{m!r}] must be a non-empty finite vector"
+                f"line {lineno}: features[{m!r}] must be a non-empty list of finite numbers"
             )
+        arr = np.array(vec, dtype=np.float64)
         if m in dims_seen and dims_seen[m] != arr.size:
             raise ValidationError(
                 f"line {lineno}: features[{m!r}] has dim {arr.size}, "
@@ -307,8 +307,7 @@ def _parse_line(line: str, lineno: int, dims_seen: dict) -> tuple:
         features[m] = arr
     label = rec["label"]
     lo, hi = LABEL_RANGE
-    if (isinstance(label, bool) or not isinstance(label, (int, float))
-            or not np.isfinite(label) or not lo <= label <= hi):
+    if not is_number(label) or not lo <= label <= hi:  # NaN fails the range
         raise ValidationError(f"line {lineno}: label must be a number in [{lo}, {hi}]")
     return cid, Sample(features, mask, float(label))
 

@@ -4,7 +4,8 @@ Fusion weights are a masked softmax over negative per-modality
 uncertainties: low-uncertainty modalities get high weight, unavailable
 modalities get exactly zero, and the weights of the available ones sum to
 one. The fused representation is the convex combination of the modality
-representations under those weights.
+representations under those weights. Each operation is written once, over
+a batch; the scalar forms are B=1 wrappers around it.
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ class ModalityMask:
     def modalities(self) -> list:
         return [m for m in MODALITIES if self.available[m]]
 
-    def count(self) -> int:
-        return sum(self.available.values())
-
     def as_array(self) -> np.ndarray:
         return np.array([self.available[m] for m in MODALITIES], dtype=bool)
 
@@ -72,79 +70,12 @@ class FusionWeights:
             raise StateError(f"weights sum to {total}, expected 1")
 
 
-def _uncertainty_map(u) -> dict:
-    # accept an UncertaintyEstimate-like object or a plain modality->u map
-    return u.per_modality if hasattr(u, "per_modality") else dict(u)
-
-
-def fusion_weights(u, mask: ModalityMask) -> FusionWeights:
-    """Softmax of negative uncertainty over the available modalities.
-
-    Unavailable modalities get weight exactly 0. An available modality with
-    a non-finite uncertainty is treated as masked (fail-soft, logged); if
-    that leaves nothing the input is degenerate.
-    """
-    u_map = _uncertainty_map(u)
-    usable = []
-    for m in mask.modalities():
-        if m not in u_map:
-            raise StateError(f"no uncertainty for available modality {m!r}")
-        if not np.isfinite(u_map[m]):
-            log.warning("non-finite uncertainty for modality %r; masking it", m)
-            continue
-        usable.append(m)
-    if not usable:
-        if not mask.modalities():
-            raise DegenerateInputError("all modalities are masked")
-        raise DegenerateInputError("no finite uncertainty among available modalities")
-    neg = np.array([-float(u_map[m]) for m in usable])
-    neg -= neg.max()  # overflow guard
-    expd = np.exp(neg)
-    w = expd / expd.sum()
-    alpha = {m: 0.0 for m in MODALITIES}
-    for m, wm in zip(usable, w):
-        alpha[m] = float(wm)
-    return FusionWeights(alpha)
-
-
-def uniform_fusion_weights(mask: ModalityMask) -> FusionWeights:
-    """Equal weight for every available modality (fusion ablation)."""
-    mods = mask.modalities()
-    if not mods:
-        raise DegenerateInputError("all modalities are masked")
-    w = 1.0 / len(mods)
-    return FusionWeights({m: (w if m in mods else 0.0) for m in MODALITIES})
-
-
-def fuse(reps: dict, alpha: FusionWeights) -> np.ndarray:
-    """Convex combination h = sum_m alpha_m * h_m; zero-weight reps may be absent."""
-    out = None
-    for m in MODALITIES:
-        w = alpha.alpha[m]
-        if w == 0.0:
-            continue
-        if m not in reps:
-            raise ShapeError(f"missing representation for weighted modality {m!r}")
-        h = np.asarray(reps[m], dtype=np.float64)
-        if out is None:
-            out = w * h
-        elif h.shape != out.shape:
-            raise ShapeError("modality representations have mismatched shapes")
-        else:
-            out = out + w * h
-    if out is None:
-        raise DegenerateInputError("all fusion weights are zero")
-    return out
-
-
-# ----------------------------------------------------------- batched variants
-
 def fusion_weights_batch(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row-wise masked softmax of -u; u and mask are (B, 3) in v/a/t order.
 
-    Matches `fusion_weights` exactly per row. Non-finite uncertainties on
-    available entries are masked out (fail-soft); rows with nothing usable
-    raise.
+    Unavailable entries get weight exactly 0, whatever u holds there.
+    Non-finite uncertainties on available entries are masked out
+    (fail-soft, logged); rows with nothing usable raise.
     """
     u = np.asarray(u, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -170,3 +101,49 @@ def uniform_fusion_weights_batch(mask: np.ndarray) -> np.ndarray:
     if (counts == 0).any():
         raise DegenerateInputError("a row has all modalities masked")
     return np.where(mask, 1.0, 0.0) / counts
+
+
+def fuse_batch(reps: dict, alpha: np.ndarray) -> np.ndarray:
+    """Convex combination h = sum_m alpha[:, m] * h_m; `reps[m]` is (B, D)
+    and `alpha` is (B, 3) in v/a/t order."""
+    fused = None
+    for mi, m in enumerate(MODALITIES):
+        contrib = alpha[:, mi:mi + 1] * reps[m]
+        fused = contrib if fused is None else fused + contrib
+    return fused
+
+
+# ------------------------------------------------------------ B=1 wrappers
+
+def fusion_weights(u: dict, mask: ModalityMask) -> FusionWeights:
+    """`fusion_weights_batch` for one sample, with u a modality -> u map."""
+    for m in mask.modalities():
+        if m not in u:
+            raise StateError(f"no uncertainty for available modality {m!r}")
+    row = [[u[m] if mask.available[m] else np.nan for m in MODALITIES]]
+    w = fusion_weights_batch(np.array(row), mask.as_array()[None, :])
+    return FusionWeights(dict(zip(MODALITIES, w[0])))
+
+
+def uniform_fusion_weights(mask: ModalityMask) -> FusionWeights:
+    """Equal weight for every available modality (fusion ablation)."""
+    w = uniform_fusion_weights_batch(mask.as_array()[None, :])
+    return FusionWeights(dict(zip(MODALITIES, w[0])))
+
+
+def fuse(reps: dict, alpha: FusionWeights) -> np.ndarray:
+    """`fuse_batch` for one sample; zero-weight reps are ignored and may be
+    absent, the weighted ones must share a shape."""
+    weighted = [m for m in MODALITIES if alpha.alpha[m] != 0.0]
+    if not weighted:
+        raise DegenerateInputError("all fusion weights are zero")
+    h = {}
+    for m in weighted:
+        if m not in reps:
+            raise ShapeError(f"missing representation for weighted modality {m!r}")
+        h[m] = np.asarray(reps[m], dtype=np.float64)
+    shape = h[weighted[0]].shape
+    if any(h[m].shape != shape for m in weighted):
+        raise ShapeError("modality representations have mismatched shapes")
+    rows = {m: h.get(m, np.zeros(shape)).reshape(1, -1) for m in MODALITIES}
+    return fuse_batch(rows, alpha.as_array()[None, :])[0].reshape(shape)

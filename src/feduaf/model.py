@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ShapeError
-from .fusion import MODALITIES
+from .fusion import MODALITIES, fuse_batch
 from .nn import EVAL, IDENTITY, RELU, TRAIN, Mlp, Tape, backward, forward, init_mlp
 from .rng import Rng
 
@@ -160,14 +160,10 @@ def forward_fused(model: ModelParams, feats: dict, alpha: np.ndarray,
     (predictions (B,), tape).
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    enc_tapes = {}
-    fused = None
-    for mi, m in enumerate(MODALITIES):
-        rep, tape = forward(model.encoders[m], feats[m], mode, rng)
-        enc_tapes[m] = tape
-        contrib = alpha[:, mi:mi + 1] * rep
-        fused = contrib if fused is None else fused + contrib
-    s, shared_tape = forward(model.shared_head, fused, mode, rng)
+    reps, enc_tapes = {}, {}
+    for m in MODALITIES:
+        reps[m], enc_tapes[m] = forward(model.encoders[m], feats[m], mode, rng)
+    s, shared_tape = forward(model.shared_head, fuse_batch(reps, alpha), mode, rng)
     out, pred_tape = forward(model.prediction_head, s, mode, rng)
     return out[:, 0], FusedTape(enc_tapes, shared_tape, pred_tape, alpha)
 

@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from .config import is_finite_list
 from .exceptions import ValidationError
 
 FORMAT_NAME = "feduaf.params"
@@ -39,7 +40,7 @@ def to_container(tensors: list) -> dict:
 def from_container(doc: dict) -> list:
     """Parse a container, rejecting anything `to_container` could not have
     written: missing keys, non-string or repeated names, malformed shapes,
-    short data or non-finite values."""
+    data that is not a flat list of finite numbers, or of the wrong length."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ValidationError("not a feduaf.params container")
     if doc.get("version") != FORMAT_VERSION:
@@ -56,15 +57,11 @@ def from_container(doc: dict) -> list:
                 isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape):
             raise ValidationError(f"tensor {name!r}: shape must be a list of "
                                   f"non-negative integers, got {shape!r}")
-        try:
-            arr = np.array(data, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"tensor {name!r}: data is not a list of numbers") from exc
-        if arr.size != math.prod(shape):
+        if not is_finite_list(data):
+            raise ValidationError(f"tensor {name!r}: data must be a flat list of finite numbers")
+        if len(data) != math.prod(shape):
             raise ValidationError(f"tensor {name!r}: data length does not match shape")
-        if not np.isfinite(arr).all():
-            raise ValidationError(f"tensor {name!r} contains non-finite values")
-        out.append((name, arr.reshape(shape)))
+        out.append((name, np.array(data, dtype=np.float64).reshape(shape)))
     return out
 
 

@@ -111,6 +111,7 @@ def run_sweep(config: ExperimentConfig, grid_raw: dict, out_dir,
         for seed in config.seeds:
             run_dir = os.path.join(out_dir, f"cell{ci:03d}", f"seed{seed}")
             jobs.append((ci, (cell_config.to_dict(), seed, run_dir)))
+    n_workers = min(n_workers, len(jobs))  # a pool forks all its workers up front
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             outcomes = list(pool.map(_run_cell_seed, (j[1] for j in jobs)))

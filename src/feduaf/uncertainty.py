@@ -78,13 +78,6 @@ def entropy_uncertainty(probs_per_pass) -> float:
     return float(-(mean[nz] * np.log(mean[nz])).sum())
 
 
-def _check_sample_inputs(mask: np.ndarray, T: int):
-    if T < 2:
-        raise ConfigError(f"uncertainty passes must be >= 2, got {T}")
-    if not mask.any():
-        raise DegenerateInputError("sample has no available modality")
-
-
 def probe_uncertainties(model: ModelParams, feats: dict, mask: np.ndarray,
                         T: int, rng: Rng) -> np.ndarray:
     """Per-modality probe variances for a batch; (B, 3), NaN where missing.
@@ -107,31 +100,34 @@ def fused_uncertainties(model: ModelParams, feats: dict, alpha: np.ndarray,
     return population_variance(preds)
 
 
+def _sample_mc(model: ModelParams, sample, T: int, rng: Rng) -> tuple:
+    """The B=1 pipeline of one sample: probe uncertainties (1, 3), the mask
+    (1, 3) and T fused predictions (T, 1) under the weights they imply."""
+    if T < 2:
+        raise ConfigError(f"uncertainty passes must be >= 2, got {T}")
+    feats, mask, _ = batch_from_samples([sample], model.feature_dims())
+    if not mask.any():
+        raise DegenerateInputError("sample has no available modality")
+    u = probe_uncertainties(model, feats, mask, T, rng)
+    alpha = fusion_weights_batch(u, mask)
+    return u, mask, fused_mc_predictions(model, feats, alpha, T, rng)
+
+
 def mc_predict(model: ModelParams, sample, T: int, rng: Rng) -> list:
     """T stochastic full-pipeline predictions for one sample.
 
     Fusion weights come from a fresh probe round; each of the T passes then
     draws its own dropout masks through encoders and heads.
     """
-    feats, mask, _ = batch_from_samples([sample], model.feature_dims())
-    _check_sample_inputs(mask, T)
-    u = probe_uncertainties(model, feats, mask, T, rng)
-    alpha = fusion_weights_batch(u, mask)
-    preds = fused_mc_predictions(model, feats, alpha, T, rng)
+    _, _, preds = _sample_mc(model, sample, T, rng)
     return [float(p) for p in preds[:, 0]]
 
 
 def modality_uncertainties(model: ModelParams, sample, T: int, rng: Rng) -> UncertaintyEstimate:
     """Per-modality and fused uncertainty for one sample."""
-    feats, mask, _ = batch_from_samples([sample], model.feature_dims())
-    _check_sample_inputs(mask, T)
-    u = probe_uncertainties(model, feats, mask, T, rng)
-    alpha = fusion_weights_batch(u, mask)
-    fused_preds = fused_mc_predictions(model, feats, alpha, T, rng)
-    fused = float(population_variance(fused_preds)[0])
-    per_modality = {
-        m: float(u[0, mi]) for mi, m in enumerate(MODALITIES) if mask[0, mi]
-    }
-    est = UncertaintyEstimate(per_modality=per_modality, fused=fused, passes=T)
+    u, mask, preds = _sample_mc(model, sample, T, rng)
+    per_modality = {m: float(u[0, mi])
+                    for mi, m in enumerate(MODALITIES) if mask[0, mi]}
+    est = UncertaintyEstimate(per_modality, float(population_variance(preds)[0]), T)
     est.validate()
     return est

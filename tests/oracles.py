@@ -2,7 +2,7 @@
 
 These deliberately avoid the library's own computation paths: finite
 differences for gradients, plain-Python formula evaluation for variance,
-entropy, and weighted sums.
+entropy, masked softmax, and weighted sums.
 """
 
 import math
@@ -58,3 +58,14 @@ def entropy_ref(prob_vectors):
     n = len(rows)
     mean = [sum(r[j] for r in rows) / n for j in range(len(rows[0]))]
     return -sum(p * math.log(p) for p in mean if p > 0.0)
+
+
+def masked_softmax_ref(u_row, mask_row):
+    """softmax(-u) over the available entries with finite u, via plain
+    Python floats and math.exp; every other entry gets 0."""
+    usable = [i for i, (u, ok) in enumerate(zip(u_row, mask_row))
+              if ok and math.isfinite(u)]
+    low = min(float(u_row[i]) for i in usable)
+    exps = {i: math.exp(low - float(u_row[i])) for i in usable}
+    total = sum(exps.values())
+    return [exps[i] / total if i in exps else 0.0 for i in range(len(u_row))]

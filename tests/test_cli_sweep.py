@@ -125,6 +125,17 @@ class TestCli:
         assert main(["run", "--config", path]) == 1
         assert "at least 2 clients" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("vec", ['"ab"', '[0.1, {"x": 1}]'])
+    def test_bad_feature_values_exit_1(self, tmp_path, capsys, vec):
+        data = tmp_path / "data.jsonl"
+        data.write_text('{"client_id": "c", "features": {"v": %s}, '
+                        '"mask": {"v": 1, "a": 0, "t": 0}, "label": 0.5}\n' % vec)
+        path = write_json(tmp_path / "config.json",
+                          dict(SMALL_RUN, data_path=str(data),
+                               output_dir=str(tmp_path / "out")))
+        assert main(["run", "--config", path]) == 1
+        assert "line 1: features['v']" in capsys.readouterr().err
+
     def test_unwritable_output_dir_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")
@@ -237,6 +248,32 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert all(r["mae_mean"] == "" and r["seed_count"] == "0" for r in rows)
 
+
+    def test_pool_never_larger_than_job_count(self, tmp_path, monkeypatch):
+        # a fork pool starts all its workers at the first submit
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr("feduaf.sweep.ProcessPoolExecutor", SerialPool)
+        cfg = self.sweep_config(tmp_path)
+        result = run_sweep(cfg, {}, cfg.output_dir, n_workers=64)
+        assert sizes == [2] and len(result.cells[0].maes) == 2
+        one_seed = config_from_dict(dict(SMALL_RUN, seeds=[1],
+                                         output_dir=str(tmp_path / "one")))
+        run_sweep(one_seed, {}, one_seed.output_dir, n_workers=64)
+        assert sizes == [2]  # a single job runs serially, without a pool
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         # only FeduafError marks a cell as failed; a bug must surface

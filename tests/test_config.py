@@ -41,6 +41,9 @@ def test_out_of_range_reports_allowed_range():
         config_from_dict({"strategy": "magic"})
     with pytest.raises(ConfigError, match="seeds"):
         config_from_dict({"seeds": []})
+    # a repeated seed would run the same directory twice and count it twice
+    with pytest.raises(ConfigError, match="seeds.*distinct"):
+        config_from_dict({"seeds": [1, 1]})
 
 
 def test_bool_is_not_a_number():

@@ -259,10 +259,17 @@ class TestJsonl:
                         '"mask": {"v": 1, "a": 0, "t": 0}, "label": 0.5}\n')
         with pytest.raises(ValidationError, match="line 1"):
             load_jsonl(path)
+        # a feature vector is a non-empty flat list of finite JSON numbers
+        for vec in ('["1.5", "2"]', "[true, false]", '"ab"', '[0.1, {"x": 1}]', "[]",
+                    "[[1.0, 2.0]]", "[1%s]" % ("0" * 400), "[NaN]"):
+            path.write_text('{"client_id": "c", "features": {"v": %s}, '
+                            '"mask": {"v": 1, "a": 0, "t": 0}, "label": 0.5}\n' % vec)
+            with pytest.raises(ValidationError, match="line 1"):
+                load_jsonl(path)
 
     def test_label_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        for label in ("3.5", "true"):
+        for label in ("3.5", "true", "1" + "0" * 400):
             path.write_text('{"client_id": "c", "features": {"v": [1.0]}, '
                             '"mask": {"v": 1, "a": 0, "t": 0}, "label": %s}\n' % label)
             with pytest.raises(ValidationError, match="line 1"):

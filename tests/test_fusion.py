@@ -19,6 +19,8 @@ from feduaf.fusion import (
     uniform_fusion_weights_batch,
 )
 
+from oracles import masked_softmax_ref
+
 finite_u = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 
 
@@ -152,6 +154,24 @@ class TestBatchedVariants:
             u_i = {m: u[i, mi] for mi, m in enumerate(MODALITIES) if mask[i, mi]}
             expected = fusion_weights(u_i, mask_i)
             assert batch[i].tolist() == expected.as_array().tolist()
+
+    @given(st.lists(
+        st.tuples(*[st.one_of(finite_u, st.sampled_from([np.nan, np.inf, -np.inf]))] * 3,
+                  st.integers(min_value=1, max_value=7)),
+        min_size=1, max_size=8,
+    ))
+    @settings(max_examples=100)
+    def test_batch_matches_plain_python_softmax(self, rows):
+        u = np.array([r[:3] for r in rows], dtype=np.float64)
+        mask = np.array([[(r[3] >> i) & 1 for i in range(3)] for r in rows], dtype=bool)
+        for i in range(len(rows)):
+            # non-finite available entries are masked; keep one usable per row
+            if not (mask[i] & np.isfinite(u[i])).any():
+                u[i, np.argmax(mask[i])] = 0.5
+        batch = fusion_weights_batch(u, mask)
+        for i in range(len(rows)):
+            ref = masked_softmax_ref(u[i].tolist(), mask[i].tolist())
+            assert np.abs(batch[i] - ref).max() <= 1e-12
 
     def test_uniform_batch_matches_per_sample(self):
         mask = np.array([[1, 1, 1], [1, 0, 1], [0, 0, 1]], dtype=bool)

@@ -86,8 +86,10 @@ def test_container_rejects_incomplete_entry():
             from_container(container(entry))
     with pytest.raises(ValidationError):
         from_container(container("w"))
-    with pytest.raises(ValidationError):
-        from_container(container({"name": "w", "shape": [1], "data": ["x"]}))
+    for shape, data in (([1], ["x"]), ([1], ["1.5"]), ([1], [True]), ([1], [10**400]),
+                        ([4], [[1, 2], [3, 4]]), ([2, 2], [[1, 2], [3, 4]])):
+        with pytest.raises(ValidationError):
+            from_container(container({"name": "w", "shape": shape, "data": data}))
     for names in ([7], [None], ["w", "w"]):
         with pytest.raises(ValidationError):
             from_container(container(*({"name": n, "shape": [1], "data": [1.0]}
