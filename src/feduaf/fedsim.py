@@ -227,6 +227,8 @@ def local_update(client: ClientRuntime, theta_s: list, config,
     assign_shared(client.model, theta_s, share_enc)
     theta = client.model.theta
     adam = AdamState.init_for([theta], lr=config.training.lr)
+    grad = np.empty_like(theta)  # every slot is rewritten by each backward
+    grad_out = (grad, client.model.layer_views(grad))
     prox_mu = config.training.fedprox_mu if config.strategy == FEDPROX else 0.0
     if prox_mu > 0.0:
         shared = client.model.shared_slice(share_enc)
@@ -249,7 +251,7 @@ def local_update(client: ClientRuntime, theta_s: list, config,
                 raise NumericError(
                     f"client {cid!r} diverged at round {round_index} (non-finite loss)"
                 )
-            grad = backward_fused(client.model, tape, dpreds)
+            backward_fused(client.model, tape, dpreds, out=grad_out)
             if prox_mu > 0.0:
                 _, (prox_grad,) = fedprox_penalty(
                     [theta[shared]], [theta_global], prox_mu)
@@ -271,15 +273,17 @@ def local_update(client: ClientRuntime, theta_s: list, config,
 
 # -------------------------------------------------------------- evaluation
 
-def evaluate_mae(clients: list, config, rng: Rng, collect: list | None = None) -> float:
+def evaluate_mae(clients: list, config, rng: Rng, collect: list | None = None,
+                 n_threads: int = 1) -> float:
     """Average over clients of the mean absolute error on their test split.
 
     Predictions are deterministic eval-mode forwards; fusion weights still
-    come from stochastic probe passes when uncertainty fusion is on. Pass
-    `collect` to receive per-sample (prediction, label) records.
+    come from stochastic probe passes when uncertainty fusion is on, each
+    client on its own derived stream, so up to `n_threads` clients run at
+    once with the same result. Pass `collect` to receive per-sample
+    (prediction, label) records, in client order.
     """
-    client_maes = []
-    for client in clients:
+    def client_eval(client):
         test = client.data.test
         if not test.samples:
             raise ConfigError(f"client {client.data.client_id!r} has an empty test set")
@@ -287,7 +291,10 @@ def evaluate_mae(clients: list, config, rng: Rng, collect: list | None = None) -
             test.samples, client.model.feature_dims())
         alpha = _batch_fusion_weights(
             client.model, feats, mask, config, rng.derive(client.data.client_id))
-        preds = predict_eval(client.model, feats, alpha)
+        return predict_eval(client.model, feats, alpha), labels
+
+    client_maes = []
+    for client, (preds, labels) in zip(clients, _map(client_eval, clients, n_threads)):
         client_maes.append(float(np.mean(np.abs(preds - labels))))
         if collect is not None:
             collect.append({
@@ -299,6 +306,16 @@ def evaluate_mae(clients: list, config, rng: Rng, collect: list | None = None) -
 
 
 # -------------------------------------------------------------- round loop
+
+def _map(fn, items: list, n_threads: int) -> list:
+    """[fn(x) for x in items] on up to `n_threads` threads, never more than
+    there are items; results keep the order of `items`."""
+    n_threads = min(n_threads, len(items))
+    if n_threads <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        return list(pool.map(fn, items))
+
 
 def _select_clients(state: FederationState, config, round_index: int,
                     run_rng: Rng) -> list:
@@ -325,11 +342,7 @@ def run_round(state: FederationState, config, run_rng: Rng,
         return local_update(client, theta, config, r, rng_i)
 
     try:
-        if n_threads > 1:
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                results = list(pool.map(work, selected))
-        else:
-            results = [work(i) for i in selected]
+        results = _map(work, selected, n_threads)
     except NumericError as exc:
         raise NumericError(f"round {r}: {exc}") from exc
     updates = [res[0] for res in results]
@@ -340,7 +353,8 @@ def run_round(state: FederationState, config, run_rng: Rng,
     state.shared = aggregate(ordered, strategy)
     for client in state.clients:
         assign_shared(client.model, state.shared, config.share_encoders)
-    mae = evaluate_mae(state.clients, config, run_rng.derive("eval", r))
+    mae = evaluate_mae(state.clients, config, run_rng.derive("eval", r),
+                       n_threads=n_threads)
     report = RoundReport(
         round_index=r,
         train_loss={u.client_id: stats[u.client_id].mean_loss for u in ordered},
@@ -405,16 +419,13 @@ def init_federation(config, seed: int) -> FederationState:
 
 
 def threads_from_env() -> int:
-    """Worker count from FEDUAF_THREADS (default 1); must be an integer >= 1."""
+    """Worker count from FEDUAF_THREADS (default 1): ASCII digits only, with
+    a value >= 1 (int() would also take "1_0", " 2 ", "+2" and non-ASCII
+    digits)."""
     raw = os.environ.get("FEDUAF_THREADS", "1")
-    error = ConfigError(f"FEDUAF_THREADS must be an integer >= 1, got {raw!r}")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise error from None
-    if n < 1:
-        raise error
-    return n
+    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
+        raise ConfigError(f"FEDUAF_THREADS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def run_simulation(config, seed: int, run_dir, n_threads: int | None = None) -> dict:
@@ -427,7 +438,8 @@ def run_simulation(config, seed: int, run_dir, n_threads: int | None = None) -> 
     run_rng = Rng(seed).derive("protocol")
     for client in state.clients:
         assign_shared(client.model, state.shared, config.share_encoders)
-    initial_mae = evaluate_mae(state.clients, config, run_rng.derive("eval", 0))
+    initial_mae = evaluate_mae(state.clients, config, run_rng.derive("eval", 0),
+                               n_threads=n_threads)
     rounds_path = os.path.join(run_dir, "rounds.jsonl")
     with open(rounds_path, "w", encoding="utf-8") as fh:
         for _ in range(config.training.rounds):

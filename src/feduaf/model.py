@@ -168,16 +168,21 @@ def forward_fused(model: ModelParams, feats: dict, alpha: np.ndarray,
     return out[:, 0], FusedTape(enc_tapes, shared_tape, pred_tape, alpha)
 
 
-def backward_fused(model: ModelParams, tape: FusedTape, dpreds: np.ndarray) -> np.ndarray:
+def backward_fused(model: ModelParams, tape: FusedTape, dpreds: np.ndarray,
+                   out: tuple | None = None) -> np.ndarray:
     """Gradient of one fused pass as one vector aligned with `model.theta`.
 
     Fusion weights act as constants: each encoder sees its representation
     gradient scaled by alpha_m (zero for missing/zero-weight samples). Every
-    layer's gradient is written straight into its slot of the vector.
+    layer's gradient is written straight into its slot of the vector, which
+    is `out = (grad, model.layer_views(grad))` when given (every slot is
+    overwritten, so one buffer serves every step) and is allocated otherwise.
     """
     dpreds = np.asarray(dpreds, dtype=np.float64)
-    grad = np.empty_like(model.theta)
-    views = model.layer_views(grad)
+    if out is None:
+        grad = np.empty_like(model.theta)
+        out = grad, model.layer_views(grad)
+    grad, views = out
     g_pred = backward(model.prediction_head, tape.pred_tape, dpreds[:, None],
                       out=views["prediction_head"])
     g_shared = backward(model.shared_head, tape.shared_tape, g_pred.input_grad,

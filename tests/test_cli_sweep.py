@@ -93,7 +93,7 @@ class TestCli:
         path = write_json(tmp_path / "config.json", {"training": {"rounds": 0}})
         assert main(["run", "--config", path]) == 1
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "", "1_0", " 2 ", "+2", "\u0663"])
     def test_bad_thread_env_exits_1(self, tmp_path, capsys, monkeypatch, value):
         path = write_json(tmp_path / "config.json",
                           dict(SMALL_RUN, output_dir=str(tmp_path / "out")))

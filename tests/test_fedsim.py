@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -319,6 +321,88 @@ class TestEvaluateMae:
             evaluate_mae(state.clients, cfg, Rng(0))
 
 
+class TestClientPool:
+    def test_threaded_eval_matches_serial_bit_for_bit(self):
+        cfg = smoke_config(ablation={"ua_fusion": True},
+                           federation={"missing_ratio": 0.5})
+        state = init_federation(cfg, 6)
+        runs = []
+        for n_threads in (1, 2):
+            dump = []
+            mae = evaluate_mae(state.clients, cfg, Rng(6).derive("eval"),
+                               collect=dump, n_threads=n_threads)
+            runs.append((mae, dump))
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1] == runs[1][1]
+        assert [rec["client_id"] for rec in runs[1][1]] == [
+            c.data.client_id for c in state.clients]
+
+    def test_never_more_threads_than_work_items(self, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            """Records max_workers and maps serially; starts no thread."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("feduaf.fedsim.ThreadPoolExecutor", FakePool)
+        cfg = smoke_config(training={"participation": 0.5})
+        state = init_federation(cfg, 4)
+        evaluate_mae(state.clients, cfg, Rng(0), n_threads=64)
+        evaluate_mae(state.clients[:1], cfg, Rng(0), n_threads=64)
+        run_round(state, cfg, Rng(4).derive("protocol"), n_threads=64)
+        # eval of 4 clients, no pool for 1 client, 2 selected, 4 evaluated
+        assert sizes == [4, 2, 4]
+
+
+def _openblas_threads(extra_env: dict) -> int:
+    """OpenBLAS thread count after `import feduaf` in a fresh interpreter
+    whose BLAS thread variables are `extra_env` only."""
+    code = (
+        "import ctypes, glob, os, sys, numpy, feduaf\n"
+        "libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), 'numpy.libs')\n"
+        "paths = glob.glob(os.path.join(libs, 'libscipy_openblas*.so'))\n"
+        "if not paths:\n"
+        "    sys.exit(3)\n"
+        "get = ctypes.CDLL(paths[0]).scipy_openblas_get_num_threads64_\n"
+        "get.restype = ctypes.c_int\n"
+        "print(get())\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in
+           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env.update(extra_env)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    if proc.returncode == 3:
+        pytest.skip("numpy has no bundled scipy-openblas library")
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+class TestBlasPin:
+    def test_import_pins_openblas_to_one_thread(self):
+        assert _openblas_threads({}) == 1
+
+    def test_explicit_openblas_thread_count_is_honoured(self):
+        # OpenBLAS caps its count at the CPUs it may run on
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs two CPUs to tell 2 threads from the pin")
+        assert _openblas_threads({"OPENBLAS_NUM_THREADS": "2"}) == 2
+
+
 class TestRounds:
     def test_symmetric_setup_strategy_equivalence(self):
         # equal reliabilities and sizes: reliability weighting == uniform
@@ -391,9 +475,10 @@ class TestRounds:
         run_simulation(cfg, 5, tmp_path / "serial", n_threads=1)
         monkeypatch.setenv("FEDUAF_THREADS", "3")
         run_simulation(cfg, 5, tmp_path / "env")
-        a = (tmp_path / "serial" / "rounds.jsonl").read_bytes()
-        b = (tmp_path / "env" / "rounds.jsonl").read_bytes()
-        assert a == b
+        for name in ("rounds.jsonl", "shared_params.json"):
+            a = (tmp_path / "serial" / name).read_bytes()
+            b = (tmp_path / "env" / name).read_bytes()
+            assert a == b, name
 
 
 class TestNoisySuppression:

@@ -95,6 +95,16 @@ class TestBackwardFused:
         numeric = finite_difference_grads(loss_fn, [model.theta])
         assert_grads_close([analytic], numeric)
 
+    def test_reused_buffer_is_fully_overwritten(self):
+        model = tiny_model()
+        feats, alpha, labels = random_batch()
+        preds, tape = forward_fused(model, feats, alpha, EVAL)
+        _, dpreds = mse_loss_batch(preds, labels)
+        grad = np.full_like(model.theta, np.nan)
+        out = backward_fused(model, tape, dpreds, out=(grad, model.layer_views(grad)))
+        assert out is grad
+        assert np.array_equal(grad, backward_fused(model, tape, dpreds))
+
     def test_representation_gradient_scales_with_alpha(self):
         # d(loss)/d(h_m) = alpha_m * d(loss)/d(h): doubling a modality's
         # weight doubles its encoder's gradient for a linear path
