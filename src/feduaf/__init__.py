@@ -46,7 +46,7 @@ from .fusion import (
     uniform_fusion_weights,
 )
 from .model import ModelParams, init_model_params
-from .nn import AdamState, DenseLayer, Mlp, adam_step, backward, forward, init_mlp, mse_loss
+from .nn import AdamState, DenseLayer, Mlp, adam_step, backward, forward, init_mlp
 from .rng import Rng
 from .uncertainty import (
     UncertaintyEstimate,

@@ -9,28 +9,17 @@ error, 2 runtime/numeric error or a failure to write outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
-from .config import FederationSpec, from_dict, parse_config
+from .config import FederationSpec, from_dict, parse_config, read_json
 from .datagen import generate_federation, save_jsonl
 from .exceptions import CONFIG_EXIT_ERRORS, ConfigError, FeduafError
 from .sweep import emit_plotdata, run_sweep
 
 
-def _load_json(path, what: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"{what} file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: malformed JSON ({exc.msg}, line {exc.lineno})")
-
-
 def _cmd_gen_data(args) -> int:
-    raw = _load_json(args.spec, "spec")
+    raw = read_json(args.spec, "spec")
     spec = from_dict(FederationSpec, raw)
     if "num_clients" not in raw:
         raise ConfigError("spec requires 'num_clients'")
@@ -57,7 +46,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = parse_config(args.config)
-    grid = _load_json(args.grid, "grid")
+    grid = read_json(args.grid, "grid")
     result = run_sweep(config, grid, config.output_dir)
     n_failed = sum(1 for c in result.cells if c.errors)
     print(f"wrote {len(result.cells)} grid points to {result.csv_path}"

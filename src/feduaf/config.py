@@ -31,16 +31,16 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def is_number(v) -> bool:
-    """A JSON number; bools are not numbers."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def is_finite_number(v) -> bool:
+    """A finite JSON number; bools are not numbers. The bound is compared
+    exactly, so ±inf, NaN and an int too large for float64 fail it."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def is_finite_list(v) -> bool:
-    """A flat list of finite JSON numbers. The bound is compared exactly, so
-    NaN and an int too large for float64 fail it too."""
-    return isinstance(v, list) and all(
-        is_number(x) and abs(x) <= sys.float_info.max for x in v)
+    """A flat list of finite JSON numbers."""
+    return isinstance(v, list) and all(is_finite_number(x) for x in v)
 
 
 def _rule(default, desc: str, ok, nullable: bool = False):
@@ -60,10 +60,10 @@ def _int(default, lo: int, nullable: bool = False):
 
 def _num(default, lo, hi=None, open_lo: bool = False, open_hi: bool = False):
     if hi is None:
-        desc = f"a number {'>' if open_lo else '>='} {lo}"
+        desc = f"a finite number {'>' if open_lo else '>='} {lo}"
     else:
         desc = f"a number in {'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
-    return _rule(default, desc, lambda v: is_number(v)
+    return _rule(default, desc, lambda v: is_finite_number(v)
                  and (lo < v if open_lo else lo <= v)
                  and (hi is None or (v < hi if open_hi else v <= hi)))
 
@@ -203,13 +203,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return from_dict(ExperimentConfig, raw)
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Load and validate a JSON config file."""
+def read_json(path, what: str):
+    """Parse a UTF-8 JSON file; a missing file raises ConfigError, an
+    undecodable or malformed one ParseError, each naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"{what} file not found: {path}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})")
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: malformed JSON ({exc.msg}, line {exc.lineno})")
-    return config_from_dict(raw)
+
+
+def parse_config(path) -> ExperimentConfig:
+    """Load and validate a JSON config file."""
+    return config_from_dict(read_json(path, "config"))

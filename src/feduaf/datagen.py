@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import FederationSpec, is_finite_list, is_number
+from .config import FederationSpec, is_finite_list, is_finite_number
 from .exceptions import ConfigError, ParseError, ValidationError
 from .fusion import MODALITIES, ModalityMask
 from .rng import Rng
@@ -50,7 +50,6 @@ class Sample:
 class ClientDataset:
     client_id: str
     samples: list
-    is_noisy: bool = False
 
     def validate(self):
         if not self.samples:
@@ -60,9 +59,6 @@ class ClientDataset:
                 raise ValidationError(
                     f"client {self.client_id!r} has a sample with no modality"
                 )
-
-    def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples])
 
 
 @dataclass
@@ -91,10 +87,8 @@ def split_dataset(dataset: ClientDataset) -> ClientData:
         dataset.samples[n_tr:n_tr + n_val],
         dataset.samples[n_tr + n_val:],
     )
-    train, val, test = (
-        ClientDataset(dataset.client_id, list(p), dataset.is_noisy) for p in parts
-    )
-    return ClientData(dataset.client_id, train, val, test, dataset.is_noisy)
+    train, val, test = (ClientDataset(dataset.client_id, list(p)) for p in parts)
+    return ClientData(dataset.client_id, train, val, test)
 
 
 def generate_federation(spec: FederationSpec) -> list:
@@ -185,19 +179,7 @@ def inject_missing(dataset: ClientDataset, rho_m: float, rng: Rng) -> ClientData
         mask = ModalityMask({m: bool(row[mi]) for mi, m in enumerate(MODALITIES)})
         feats = {m: s.features[m] for m in mask.modalities()}
         new_samples.append(Sample(feats, mask, s.label))
-    return ClientDataset(dataset.client_id, new_samples, dataset.is_noisy)
-
-
-def _set_noisy(client, flag: bool):
-    if isinstance(client, ClientData):
-        return replace(
-            client,
-            is_noisy=flag,
-            train=replace(client.train, is_noisy=flag),
-            val=replace(client.val, is_noisy=flag),
-            test=replace(client.test, is_noisy=flag),
-        )
-    return replace(client, is_noisy=flag)
+    return ClientDataset(dataset.client_id, new_samples)
 
 
 def mark_noisy_clients(clients: list, noisy_ratio: float, rng: Rng) -> list:
@@ -209,7 +191,7 @@ def mark_noisy_clients(clients: list, noisy_ratio: float, rng: Rng) -> list:
     chosen = set()
     if n_noisy > 0:
         chosen = set(int(i) for i in rng.choice(k, size=n_noisy, replace=False))
-    return [_set_noisy(c, i in chosen) for i, c in enumerate(clients)]
+    return [replace(c, is_noisy=i in chosen) for i, c in enumerate(clients)]
 
 
 # ------------------------------------------------------------------- batching
@@ -278,7 +260,7 @@ def _parse_line(line: str, lineno: int, dims_seen: dict) -> tuple:
     if not isinstance(mask_rec, dict) or set(mask_rec) != set(MODALITIES):
         raise ValidationError(f"line {lineno}: mask must have exactly keys {MODALITIES}")
     for m, bit in mask_rec.items():
-        if isinstance(bit, bool) or bit not in (0, 1):
+        if type(bit) is not int or bit not in (0, 1):  # not True, not 1.0
             raise ValidationError(f"line {lineno}: mask[{m!r}] must be 0 or 1")
     mask = ModalityMask({m: bool(mask_rec[m]) for m in MODALITIES})
     if not mask.modalities():
@@ -307,7 +289,7 @@ def _parse_line(line: str, lineno: int, dims_seen: dict) -> tuple:
         features[m] = arr
     label = rec["label"]
     lo, hi = LABEL_RANGE
-    if not is_number(label) or not lo <= label <= hi:  # NaN fails the range
+    if not is_finite_number(label) or not lo <= label <= hi:
         raise ValidationError(f"line {lineno}: label must be a number in [{lo}, {hi}]")
     return cid, Sample(features, mask, float(label))
 
@@ -317,11 +299,15 @@ def load_jsonl(path) -> list:
     groups: dict = {}
     dims_seen: dict = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "rb")
     except FileNotFoundError:
         raise ConfigError(f"dataset file not found: {path}")
     with fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: line {lineno}: not UTF-8 text ({exc.reason})")
             if not line.strip():
                 continue
             cid, sample = _parse_line(line, lineno, dims_seen)

@@ -174,21 +174,14 @@ def perturb_update(tensors: list, gamma: float, rng: Rng) -> list:
     return out
 
 
-def fedprox_penalty(theta_local: list, theta_global: list, mu: float):
-    """Proximal term (mu/2)*||theta - theta_global||^2 and its gradient."""
+def fedprox_penalty(theta: np.ndarray, anchor: np.ndarray, mu: float):
+    """Proximal term (mu/2)*||theta - anchor||^2 and its gradient."""
     if mu < 0:
         raise ConfigError(f"mu must be >= 0, got {mu}")
-    if len(theta_local) != len(theta_global):
-        raise ShapeError("parameter lists have different lengths")
-    penalty = 0.0
-    grads = []
-    for p, g in zip(theta_local, theta_global):
-        if p.shape != g.shape:
-            raise ShapeError(f"shape mismatch {p.shape} vs {g.shape}")
-        diff = p - g
-        penalty += 0.5 * mu * float((diff * diff).sum())
-        grads.append(mu * diff)
-    return penalty, grads
+    if theta.shape != anchor.shape:
+        raise ShapeError(f"shape mismatch {theta.shape} vs {anchor.shape}")
+    diff = theta - anchor
+    return 0.5 * mu * float((diff * diff).sum()), mu * diff
 
 
 # -------------------------------------------------------------- client side
@@ -253,9 +246,7 @@ def local_update(client: ClientRuntime, theta_s: list, config,
                 )
             backward_fused(client.model, tape, dpreds, out=grad_out)
             if prox_mu > 0.0:
-                _, (prox_grad,) = fedprox_penalty(
-                    [theta[shared]], [theta_global], prox_mu)
-                grad[shared] += prox_grad
+                grad[shared] += fedprox_penalty(theta[shared], theta_global, prox_mu)[1]
             adam_step([theta], [grad], adam)
             losses.append(loss)
     if client.data.is_noisy and config.noise_gamma > 0.0:

@@ -1,6 +1,6 @@
 """From-scratch dense network numerics: forward, dropout, backprop, Adam.
 
-Networks are small MLPs over float64 numpy arrays. Dropout is inverted
+Networks are small MLPs over (B, d) float64 batches. Dropout is inverted
 (train mode scales kept units by 1/keep so eval needs no rescaling) and is
 applied after every relu activation; identity layers are plain affine maps.
 Backprop is hand-derived for this fixed layer structure and checked against
@@ -20,22 +20,6 @@ RELU = "relu"
 IDENTITY = "identity"
 TRAIN = "train"
 EVAL = "eval"
-
-
-def relu_dropout_forward(z, mask, keep):
-    return np.where((z > 0.0) & mask, z / keep, 0.0)
-
-
-def relu_forward(z):
-    return np.where(z > 0.0, z, 0.0)
-
-
-def relu_dropout_backward(grad_out, z, mask, keep):
-    return np.where((z > 0.0) & mask, grad_out / keep, 0.0)
-
-
-def relu_backward(grad_out, z):
-    return np.where(z > 0.0, grad_out, 0.0)
 
 
 @dataclass
@@ -91,14 +75,6 @@ class Mlp:
                     f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}"
                 )
 
-    def parameters(self) -> list[np.ndarray]:
-        """Flat parameter list [w0, b0, w1, b1, ...]; views, not copies."""
-        out = []
-        for layer in self.layers:
-            out.append(layer.weights)
-            out.append(layer.bias)
-        return out
-
 
 def init_mlp(dims, rng: Rng, dropout_rate: float = 0.0, activations=None) -> Mlp:
     """Build an MLP with Glorot-uniform weights and zero biases.
@@ -130,25 +106,21 @@ class Tape:
 
     mlp_id: int
     mode: str
-    single: bool  # input was 1-D
     inputs: list = field(default_factory=list)  # per-layer input (B, in_dim)
     preacts: list = field(default_factory=list)  # per-layer z (B, out_dim)
     masks: list = field(default_factory=list)  # bool dropout mask or None
     keep: float = 1.0
 
 
-def _as_batch(x: np.ndarray, dim: int, what: str):
+def _as_batch(x: np.ndarray, dim: int, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != dim:
         raise ShapeError(f"{what} has shape {x.shape}, expected (*, {dim})")
-    return x, single
+    return x
 
 
 def forward(mlp: Mlp, x: np.ndarray, mode: str = EVAL, rng: Rng | None = None):
-    """Run the MLP on a vector or batch; returns (output, tape).
+    """Run the MLP on a (B, in_dim) batch; returns (output, tape).
 
     Train mode draws fresh inverted-dropout masks from `rng` after each relu
     (no draw when dropout_rate is 0, so rate-0 train equals eval exactly).
@@ -156,14 +128,14 @@ def forward(mlp: Mlp, x: np.ndarray, mode: str = EVAL, rng: Rng | None = None):
     """
     if mode not in (TRAIN, EVAL):
         raise ConfigError(f"mode must be '{TRAIN}' or '{EVAL}', got {mode!r}")
-    a, single = _as_batch(x, mlp.in_dim, "input")
+    a = _as_batch(x, mlp.in_dim, "input")
     if not np.isfinite(a).all():
         raise NumericError("non-finite values in forward input")
     use_dropout = mode == TRAIN and mlp.dropout_rate > 0.0
     if use_dropout and rng is None:
         raise ConfigError("train-mode forward with dropout requires an rng")
     keep = 1.0 - mlp.dropout_rate
-    tape = Tape(mlp_id=id(mlp), mode=mode, single=single, keep=keep)
+    tape = Tape(mlp_id=id(mlp), mode=mode, keep=keep)
     for layer in mlp.layers:
         z = a @ layer.weights.T + layer.bias
         tape.inputs.append(a)
@@ -171,28 +143,21 @@ def forward(mlp: Mlp, x: np.ndarray, mode: str = EVAL, rng: Rng | None = None):
         if layer.activation == RELU:
             if use_dropout:
                 mask = rng.random(z.shape) < keep
-                a = relu_dropout_forward(z, mask, keep)
+                a = np.where((z > 0.0) & mask, z / keep, 0.0)
                 tape.masks.append(mask)
             else:
-                a = relu_forward(z)
+                a = np.where(z > 0.0, z, 0.0)
                 tape.masks.append(None)
         else:
             a = z
             tape.masks.append(None)
-    return (a[0] if single else a), tape
+    return a, tape
 
 
 @dataclass
 class MlpGradients:
     layers: list  # per layer (d_weights, d_bias)
     input_grad: np.ndarray
-
-    def flat_list(self) -> list[np.ndarray]:
-        out = []
-        for dw, db in self.layers:
-            out.append(dw)
-            out.append(db)
-        return out
 
 
 def backward(mlp: Mlp, tape: Tape, loss_grad: np.ndarray, out=None) -> MlpGradients:
@@ -208,7 +173,7 @@ def backward(mlp: Mlp, tape: Tape, loss_grad: np.ndarray, out=None) -> MlpGradie
         raise StateError("tape was produced by a different network")
     if len(tape.preacts) != len(mlp.layers):
         raise StateError("tape layer count does not match network")
-    g, _ = _as_batch(loss_grad, mlp.out_dim, "loss_grad")
+    g = _as_batch(loss_grad, mlp.out_dim, "loss_grad")
     if g.shape[0] != tape.preacts[-1].shape[0]:
         raise ShapeError("loss_grad batch size does not match tape")
     if out is None:
@@ -220,17 +185,16 @@ def backward(mlp: Mlp, tape: Tape, loss_grad: np.ndarray, out=None) -> MlpGradie
         if layer.activation == RELU:
             mask = tape.masks[i]
             if mask is not None:
-                gz = relu_dropout_backward(g, z, mask, tape.keep)
+                gz = np.where((z > 0.0) & mask, g / tape.keep, 0.0)
             else:
-                gz = relu_backward(g, z)
+                gz = np.where(z > 0.0, g, 0.0)
         else:
             gz = g
         dw, db = out[i]
         np.matmul(gz.T, tape.inputs[i], out=dw)
         gz.sum(axis=0, out=db)
         g = gz @ layer.weights
-    input_grad = g[0] if tape.single else g
-    return MlpGradients(layers=list(out), input_grad=input_grad)
+    return MlpGradients(layers=list(out), input_grad=g)
 
 
 @dataclass
@@ -242,7 +206,7 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps_adam: float = 1e-8
-    # per-array buffers for adam_step's in-place update; not saved by to_dict
+    # per-array buffers for adam_step's in-place update
     scratch: list = field(default_factory=list, repr=False, compare=False)
 
     @classmethod
@@ -257,27 +221,6 @@ class AdamState:
             beta2=beta2,
             eps_adam=eps_adam,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "first_moment": [m.tolist() for m in self.first_moment],
-            "second_moment": [v.tolist() for v in self.second_moment],
-            "shapes": [list(m.shape) for m in self.first_moment],
-            "step_count": self.step_count,
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps_adam": self.eps_adam,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AdamState":
-        first = [np.array(m, dtype=np.float64).reshape(s)
-                 for m, s in zip(d["first_moment"], d["shapes"])]
-        second = [np.array(v, dtype=np.float64).reshape(s)
-                  for v, s in zip(d["second_moment"], d["shapes"])]
-        return cls(first, second, d["step_count"], d["lr"], d["beta1"],
-                   d["beta2"], d["eps_adam"])
 
 
 def adam_step(params, grads, state: AdamState):
@@ -318,14 +261,6 @@ def adam_step(params, grads, state: AdamState):
         num /= den
         p -= num
     return params, state
-
-
-def mse_loss(pred: float, label: float):
-    """Squared error and its gradient w.r.t. the prediction."""
-    if not (np.isfinite(pred) and np.isfinite(label)):
-        raise NumericError("mse_loss requires finite inputs")
-    diff = pred - label
-    return diff * diff, 2.0 * diff
 
 
 def mse_loss_batch(preds: np.ndarray, labels: np.ndarray):

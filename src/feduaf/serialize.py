@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .config import is_finite_list
+from .config import is_finite_list, read_json
 from .exceptions import ValidationError
 
 FORMAT_NAME = "feduaf.params"
@@ -71,9 +71,4 @@ def save_params(path, tensors: list):
 
 
 def load_params(path) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed parameter file: {exc}") from exc
-    return from_container(doc)
+    return from_container(read_json(path, "parameter"))

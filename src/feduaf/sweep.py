@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import STRATEGIES, ExperimentConfig, config_from_dict
-from .exceptions import ConfigError, FeduafError, ValidationError
+from .exceptions import ConfigError, FeduafError, ParseError, ValidationError
 from .fedsim import run_simulation, threads_from_env
 
 GRID_AXES = ("noniid_intensity", "missing_ratio", "noisy_ratio", "strategy", "ablation")
@@ -172,20 +173,44 @@ def _series_label(row: dict) -> str:
     return label
 
 
+def _read_sweep_rows(sweep_csv) -> list:
+    """The data rows of a sweep.csv, with the x axes and mae_mean as finite
+    floats (mae_mean None where empty)."""
+    try:
+        with open(sweep_csv, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or set(CSV_COLUMNS) - set(reader.fieldnames):
+                missing = sorted(set(CSV_COLUMNS) - set(reader.fieldnames or []))
+                raise ValidationError(f"sweep csv missing columns: {missing}")
+            rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{sweep_csv}: not UTF-8 text ({exc.reason})")
+    if not rows:
+        raise ValidationError("sweep csv has no data rows")
+    for i, row in enumerate(rows, start=1):
+        for col in ("rho_m", "noniid", "noisy_ratio", "mae_mean"):
+            value = row[col]
+            if col == "mae_mean" and value == "":
+                row[col] = None
+                continue
+            try:
+                number = float(value)
+            except (TypeError, ValueError):  # TypeError: a short row holds None
+                number = math.nan
+            if not math.isfinite(number):
+                raise ValidationError(f"{sweep_csv}: data row {i}: column {col!r} "
+                                      f"must be a finite number, got {value!r}")
+            row[col] = number
+    return rows
+
+
 def emit_plotdata(sweep_csv, out_dir) -> list:
     """Write one tidy per-figure CSV per varying numeric axis.
 
     Each output has the x-axis column first, then one mae_mean column per
     strategy/ablation series, rows sorted by x ascending.
     """
-    with open(sweep_csv, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(CSV_COLUMNS) - set(reader.fieldnames):
-            missing = sorted(set(CSV_COLUMNS) - set(reader.fieldnames or []))
-            raise ValidationError(f"sweep csv missing columns: {missing}")
-        rows = [r for r in reader]
-    if not rows:
-        raise ValidationError("sweep csv has no data rows")
+    rows = _read_sweep_rows(sweep_csv)
     os.makedirs(out_dir, exist_ok=True)
     candidates = [(axis, fname) for axis, fname in _PLOT_X_AXES
                   if len({r[axis] for r in rows}) >= 2]
@@ -193,14 +218,12 @@ def emit_plotdata(sweep_csv, out_dir) -> list:
         candidates = list(_PLOT_X_AXES)
     written = []
     for axis, fname in candidates:
-        xs = sorted({float(r[axis]) for r in rows})
+        xs = sorted({r[axis] for r in rows})
         series = sorted({_series_label(r) for r in rows})
         table = {}
         for r in rows:
-            if r["mae_mean"] == "":
-                continue
-            key = (float(r[axis]), _series_label(r))
-            table.setdefault(key, []).append(float(r["mae_mean"]))
+            if r["mae_mean"] is not None:
+                table.setdefault((r[axis], _series_label(r)), []).append(r["mae_mean"])
         path = os.path.join(out_dir, fname)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

@@ -180,14 +180,14 @@ def test_criterion_2_gradient_suite():
             preds, _ = forward_fused(model, feats, alpha)
             loss = mse_loss_batch(preds, labels)[0]
             if use_prox:
-                loss += fedprox_penalty([model.theta[shared]], [anchor], mu)[0]
+                loss += fedprox_penalty(model.theta[shared], anchor, mu)[0]
             return loss
 
         preds, tape = forward_fused(model, feats, alpha)
         _, dpreds = mse_loss_batch(preds, labels)
         analytic = backward_fused(model, tape, dpreds)
         if use_prox:
-            _, (prox_grad,) = fedprox_penalty([model.theta[shared]], [anchor], mu)
+            _, prox_grad = fedprox_penalty(model.theta[shared], anchor, mu)
             analytic[shared] += prox_grad
         numeric, = finite_difference_grads(loss_fn, [model.theta])
         tol = 1e-4 * np.maximum(np.abs(analytic), np.abs(numeric)) + 1e-7

@@ -24,12 +24,24 @@ GEN_DATA_SPEC = {"num_clients": 2, "samples_per_client": 4, "feature_dim": 2,
                  "latent_dim": 2, "noniid_intensity": 1.0, "missing_ratio": 0.5,
                  "noisy_ratio": 0.5}
 GEN_DATA_REFERENCE = os.path.join(os.path.dirname(__file__), "data", "gen_data_noseed.jsonl")
+GOOD_LINE = ('{"client_id": "c", "features": {"v": [1.0]}, '
+             '"mask": {"v": 1, "a": 0, "t": 0}, "label": 0.5}\n')
 
 
 def write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh)
     return str(path)
+
+
+def write_undecodable(path):
+    """A file that starts with a UTF-16 byte-order mark, not UTF-8."""
+    path.write_bytes(b"\xff\xfe{}")
+    return str(path)
+
+
+def assert_names_undecodable(err, path):
+    assert err.startswith("error: ") and f"{path}: " in err and "not UTF-8" in err
 
 
 class TestCli:
@@ -47,6 +59,9 @@ class TestCli:
         spec = write_json(tmp_path / "spec.json", {"num_clients": 3, "bogus": 1})
         assert main(["gen-data", "--spec", spec, "--out", str(tmp_path / "x")]) == 1
         assert "bogus" in capsys.readouterr().err
+        spec = write_undecodable(tmp_path / "spec.json")
+        assert main(["gen-data", "--spec", spec, "--out", str(tmp_path / "x")]) == 1
+        assert_names_undecodable(capsys.readouterr().err, spec)
 
     @pytest.mark.parametrize("key,value", [
         ("num_clients", "5"), ("missing_ratio", "0.5"),
@@ -92,6 +107,13 @@ class TestCli:
     def test_bad_config_exits_1(self, tmp_path, capsys):
         path = write_json(tmp_path / "config.json", {"training": {"rounds": 0}})
         assert main(["run", "--config", path]) == 1
+        bad = write_undecodable(tmp_path / "bad.json")
+        assert main(["run", "--config", bad]) == 1
+        assert_names_undecodable(capsys.readouterr().err, bad)
+        path = write_json(tmp_path / "config.json",
+                          dict(SMALL_RUN, output_dir=str(tmp_path / "out")))
+        assert main(["sweep", "--config", path, "--grid", bad]) == 1
+        assert_names_undecodable(capsys.readouterr().err, bad)
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "", "1_0", " 2 ", "+2", "\u0663"])
     def test_bad_thread_env_exits_1(self, tmp_path, capsys, monkeypatch, value):
@@ -118,12 +140,16 @@ class TestCli:
         code = main(["run", "--config", path])
         assert code == 1  # empty dataset is a validation error
         # a one-client file is no federation (num_clients >= 2)
-        line = ('{"client_id": "c", "features": {"v": [1.0]}, '
-                '"mask": {"v": 1, "a": 0, "t": 0}, "label": 0.5}\n')
-        data.write_text(line * 6)
+        data.write_text(GOOD_LINE * 6)
         capsys.readouterr()
         assert main(["run", "--config", path]) == 1
         assert "at least 2 clients" in capsys.readouterr().err
+        # a byte that is not UTF-8 on line 2
+        data.write_bytes(GOOD_LINE.encode() + b'{"client_id": "\xff"}\n')
+        assert main(["run", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert_names_undecodable(err, data)
+        assert "line 2" in err
 
     @pytest.mark.parametrize("vec", ['"ab"', '[0.1, {"x": 1}]'])
     def test_bad_feature_values_exit_1(self, tmp_path, capsys, vec):
@@ -148,10 +174,13 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("runtime error: ") and "file" in err
 
-    def test_plotdata_missing_columns_exits_1(self, tmp_path):
+    def test_plotdata_missing_columns_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "sweep.csv"
         bad.write_text("a,b\n1,2\n")
         assert main(["plotdata", "--in", str(bad), "--out", str(tmp_path / "figs")]) == 1
+        bad = write_undecodable(tmp_path / "sweep.csv")
+        assert main(["plotdata", "--in", bad, "--out", str(tmp_path / "figs")]) == 1
+        assert_names_undecodable(capsys.readouterr().err, bad)
 
 
 class TestGrid:
@@ -247,6 +276,13 @@ class TestSweep:
         with open(result.csv_path) as fh:
             rows = list(csv.DictReader(fh))
         assert all(r["mae_mean"] == "" and r["seed_count"] == "0" for r in rows)
+        # so does a dataset that is not UTF-8
+        data = tmp_path / "bad.jsonl"
+        data.write_bytes(GOOD_LINE.encode() + b'{"client_id": "\xff"}\n')
+        cfg = config_from_dict(dict(SMALL_RUN, data_path=str(data),
+                                    output_dir=str(tmp_path / "sweep2")))
+        errors = run_sweep(cfg, {}, cfg.output_dir).cells[0].errors
+        assert len(errors) == 2 and all("line 2: not UTF-8" in e for e in errors)
 
 
     def test_pool_never_larger_than_job_count(self, tmp_path, monkeypatch):
@@ -314,6 +350,23 @@ class TestPlotData:
         with open(written[0]) as fh:
             header = next(csv.reader(fh))
         assert len(header) == 2  # x axis + one series
+
+    @pytest.mark.parametrize("column,value", [
+        ("rho_m", "abc"), ("noniid", ""), ("noisy_ratio", "inf"), ("mae_mean", "xyz")])
+    def test_non_numeric_cell_rejected(self, tmp_path, capsys, column, value):
+        good = {"dataset_tag": "synthetic", "rho_m": "0.1", "noniid": "0.0",
+                "noisy_ratio": "0.0", "strategy": "uniform", "ua_fusion": "1",
+                "rel_agg": "1", "seed_count": "1", "mae_mean": "0.5", "mae_std": "0.0"}
+        path = tmp_path / "sweep.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(good))
+            writer.writeheader()
+            writer.writerow(good)
+            writer.writerow(dict(good, **{column: value}))
+        with pytest.raises(ValidationError, match=f"data row 2: column '{column}'"):
+            emit_plotdata(path, tmp_path / "figs")
+        assert main(["plotdata", "--in", str(path), "--out", str(tmp_path / "figs")]) == 1
+        assert f"'{column}'" in capsys.readouterr().err
 
     def test_missing_columns_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"

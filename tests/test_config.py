@@ -1,6 +1,7 @@
 """Config parsing: defaults, strict keys, ranges, round-trips."""
 
 import json
+import math
 import re
 from dataclasses import fields, is_dataclass
 
@@ -55,7 +56,7 @@ def test_bool_is_not_a_number():
 # whose type does not admit it
 WRONG_VALUES = {
     "int": ["5", True, 2.5],
-    "float": ["0.5", True],
+    "float": ["0.5", True, math.inf, -math.inf],
     "bool": ["true", 1],
     "str": [5, True],
     "list": ["1", [True], [1.5]],

@@ -180,18 +180,18 @@ class TestPerturbUpdate:
 
 class TestFedproxPenalty:
     def test_mu_zero_is_noop(self):
-        p, g = fedprox_penalty([np.ones(3)], [np.zeros(3)], 0.0)
-        assert p == 0.0 and not g[0].any()
+        p, g = fedprox_penalty(np.ones(3), np.zeros(3), 0.0)
+        assert p == 0.0 and not g.any()
 
     def test_at_anchor_zero(self):
-        theta = [Rng(0).normal(size=4)]
-        p, g = fedprox_penalty(theta, [theta[0].copy()], 0.5)
-        assert p == 0.0 and not g[0].any()
+        theta = Rng(0).normal(size=4)
+        p, g = fedprox_penalty(theta, theta.copy(), 0.5)
+        assert p == 0.0 and not g.any()
 
     def test_scalar_analytic(self):
-        p, g = fedprox_penalty([np.array([1.0])], [np.array([0.0])], 0.01)
+        p, g = fedprox_penalty(np.array([1.0]), np.array([0.0]), 0.01)
         assert p == pytest.approx(0.005)
-        assert g[0][0] == pytest.approx(0.01)
+        assert g[0] == pytest.approx(0.01)
 
 
 class TestLocalUpdate:
@@ -289,7 +289,7 @@ class TestEvaluateMae:
     def test_zero_model_mae_equals_mean_abs_label(self):
         state, cfg = self.zeroed_state()
         expected = np.mean([
-            np.mean(np.abs(c.data.test.labels())) for c in state.clients
+            np.mean([abs(s.label) for s in c.data.test.samples]) for c in state.clients
         ])
         mae = evaluate_mae(state.clients, cfg, Rng(0))
         assert mae == pytest.approx(expected)

@@ -1,4 +1,6 @@
-"""Dense network numerics: forward, dropout, backprop, Adam, MSE."""
+"""Dense network numerics: forward, dropout, backprop, Adam, MSE.
+
+Networks run on (B, d) batches only; single inputs are one-row batches."""
 
 import numpy as np
 import pytest
@@ -16,57 +18,65 @@ from feduaf.nn import (
     backward,
     forward,
     init_mlp,
-    mse_loss,
     mse_loss_batch,
-    relu_dropout_forward,
 )
 from feduaf.rng import Rng
 
 from oracles import assert_grads_close, finite_difference_grads
 
 
-def single_layer(w, b, activation):
+def single_layer(w, b, activation, dropout_rate=0.0):
     return Mlp([DenseLayer(np.array(w, dtype=float), np.array(b, dtype=float),
-                           activation)])
+                           activation)], dropout_rate)
+
+
+def layer_arrays(mlp):
+    """[w0, b0, w1, b1, ...] as views into the network."""
+    return [a for layer in mlp.layers for a in (layer.weights, layer.bias)]
+
+
+def grad_arrays(grads):
+    """[dw0, db0, dw1, db1, ...], aligned with layer_arrays."""
+    return [a for pair in grads.layers for a in pair]
 
 
 class TestForward:
     def test_identity_layer_passes_input_through(self):
         mlp = single_layer(np.eye(2), [0.0, 0.0], IDENTITY)
-        out, _ = forward(mlp, np.array([1.0, 2.0]), EVAL)
-        assert out.tolist() == [1.0, 2.0]
+        out, _ = forward(mlp, np.array([[1.0, 2.0]]), EVAL)
+        assert out.tolist() == [[1.0, 2.0]]
 
     def test_relu_affine_analytic(self):
         # 2*3 + 1 = 7
         mlp = single_layer([[2.0]], [1.0], RELU)
-        out, _ = forward(mlp, np.array([3.0]), EVAL)
-        assert out.tolist() == [7.0]
+        out, _ = forward(mlp, np.array([[3.0]]), EVAL)
+        assert out.tolist() == [[7.0]]
 
     def test_relu_clamps_negative(self):
         mlp = single_layer([[2.0]], [1.0], RELU)
-        out, _ = forward(mlp, np.array([-3.0]), EVAL)
-        assert out.tolist() == [0.0]
+        out, _ = forward(mlp, np.array([[-3.0]]), EVAL)
+        assert out.tolist() == [[0.0]]
 
     def test_batch_and_vector_agree(self):
-        # BLAS may round batched and single-row matmuls differently, so this
-        # is a tight-tolerance check, not a bit-level one
+        # a batch and its one-row batches: BLAS may round batched and
+        # single-row matmuls differently, so this is a tight-tolerance check,
+        # not a bit-level one
         mlp = init_mlp([3, 4, 2], Rng(0))
         x = Rng(1).normal(size=(5, 3))
         batch_out, _ = forward(mlp, x, EVAL)
         for i in range(5):
-            row_out, _ = forward(mlp, x[i], EVAL)
-            np.testing.assert_allclose(batch_out[i], row_out, rtol=1e-12, atol=0)
-
+            row_out, _ = forward(mlp, x[i:i + 1], EVAL)
+            np.testing.assert_allclose(batch_out[i:i + 1], row_out, rtol=1e-12, atol=0)
     def test_eval_is_pure(self):
         mlp = init_mlp([3, 4, 1], Rng(0), dropout_rate=0.5)
-        x = np.array([0.3, -0.2, 1.0])
+        x = np.array([[0.3, -0.2, 1.0]])
         a, _ = forward(mlp, x, EVAL)
         b, _ = forward(mlp, x, EVAL)
         assert np.array_equal(a, b)
 
     def test_zero_dropout_train_equals_eval(self):
         mlp = init_mlp([3, 4, 1], Rng(0), dropout_rate=0.0)
-        x = np.array([0.3, -0.2, 1.0])
+        x = np.array([[0.3, -0.2, 1.0]])
         a, _ = forward(mlp, x, TRAIN, Rng(5))
         b, _ = forward(mlp, x, EVAL)
         assert np.array_equal(a, b)
@@ -74,12 +84,18 @@ class TestForward:
     def test_dim_mismatch_raises(self):
         mlp = init_mlp([3, 2], Rng(0))
         with pytest.raises(ShapeError):
-            forward(mlp, np.zeros(4), EVAL)
+            forward(mlp, np.zeros((1, 4)), EVAL)
+        # a 1-D vector is not a batch, for forward and for backward
+        with pytest.raises(ShapeError):
+            forward(mlp, np.zeros(3), EVAL)
+        _, tape = forward(mlp, np.zeros((1, 3)), EVAL)
+        with pytest.raises(ShapeError):
+            backward(mlp, tape, np.zeros(2))
 
     def test_nonfinite_input_raises(self):
         mlp = init_mlp([2, 2], Rng(0))
         with pytest.raises(NumericError):
-            forward(mlp, np.array([np.nan, 0.0]), EVAL)
+            forward(mlp, np.array([[np.nan, 0.0]]), EVAL)
 
     def test_train_dropout_mean_approaches_eval(self):
         # inverted dropout: E[train output] == eval output for a net whose
@@ -92,10 +108,10 @@ class TestForward:
             ],
             dropout_rate=0.5,
         )
-        x = np.array([0.7, 1.3, 0.4])
+        x = np.array([[0.7, 1.3, 0.4]])
         eval_out, _ = forward(mlp, x, EVAL)
         draw = Rng(7)
-        total = np.zeros(2)
+        total = np.zeros((1, 2))
         n = 10_000
         for _ in range(n):
             out, _ = forward(mlp, x, TRAIN, draw)
@@ -108,16 +124,16 @@ class TestBackward:
     def test_linear_layer_analytic(self):
         # y = w*x with w=3, x=1: loss y^2 has dL/dw = 2*y*x = 6
         mlp = single_layer([[3.0]], [0.0], IDENTITY)
-        out, tape = forward(mlp, np.array([1.0]), EVAL)
-        grads = backward(mlp, tape, np.array([2.0 * out[0]]))
+        out, tape = forward(mlp, np.array([[1.0]]), EVAL)
+        grads = backward(mlp, tape, 2.0 * out)
         dw, db = grads.layers[0]
         assert dw[0, 0] == pytest.approx(6.0)
-        assert db[0] == pytest.approx(2.0 * out[0])
+        assert db[0] == pytest.approx(2.0 * out[0, 0])
 
     def test_zero_loss_grad_gives_zero_grads(self):
         mlp = init_mlp([3, 5, 2], Rng(3))
-        _, tape = forward(mlp, Rng(4).normal(size=3), EVAL)
-        grads = backward(mlp, tape, np.zeros(2))
+        _, tape = forward(mlp, Rng(4).normal(size=(1, 3)), EVAL)
+        grads = backward(mlp, tape, np.zeros((1, 2)))
         for dw, db in grads.layers:
             assert not dw.any() and not db.any()
         assert not grads.input_grad.any()
@@ -127,26 +143,26 @@ class TestBackward:
         rng = Rng(seed)
         dims = [4, 6, 3, 1]
         mlp = init_mlp(dims, rng)
-        x = rng.normal(size=4)
-        y = 0.3
+        x = rng.normal(size=(1, 4))
+        y = np.array([0.3])
 
         def loss_fn():
             out, _ = forward(mlp, x, EVAL)
-            return mse_loss(float(out[0]), y)[0]
+            return mse_loss_batch(out[:, 0], y)[0]
 
         out, tape = forward(mlp, x, EVAL)
-        _, dpred = mse_loss(float(out[0]), y)
-        analytic = backward(mlp, tape, np.array([dpred])).flat_list()
-        numeric = finite_difference_grads(loss_fn, mlp.parameters())
+        _, dpreds = mse_loss_batch(out[:, 0], y)
+        analytic = grad_arrays(backward(mlp, tape, dpreds[:, None]))
+        numeric = finite_difference_grads(loss_fn, layer_arrays(mlp))
         assert_grads_close(analytic, numeric)
 
     def test_dropped_units_get_zero_gradient(self):
         mlp = init_mlp([3, 8, 1], Rng(0), dropout_rate=0.5)
-        x = Rng(1).normal(size=3)
+        x = Rng(1).normal(size=(1, 3))
         _, tape = forward(mlp, x, TRAIN, Rng(2))
         mask = tape.masks[0][0]
         assert not mask.all() and mask.any()  # seed chosen to mix kept/dropped
-        grads = backward(mlp, tape, np.ones(1))
+        grads = backward(mlp, tape, np.ones((1, 1)))
         dw0 = grads.layers[0][0]
         # a dropped unit contributes no gradient to its incoming weights
         dropped_rows = ~mask & (tape.preacts[0][0] > 0)
@@ -155,15 +171,15 @@ class TestBackward:
     def test_foreign_tape_raises(self):
         mlp_a = init_mlp([2, 2], Rng(0))
         mlp_b = init_mlp([2, 2], Rng(1))
-        _, tape = forward(mlp_a, np.zeros(2), EVAL)
+        _, tape = forward(mlp_a, np.zeros((1, 2)), EVAL)
         with pytest.raises(StateError):
-            backward(mlp_b, tape, np.zeros(2))
+            backward(mlp_b, tape, np.zeros((1, 2)))
 
 
 class TestAdam:
     def test_zero_grads_leave_params_and_decay_moments(self):
         mlp = init_mlp([2, 2], Rng(0))
-        params = mlp.parameters()
+        params = layer_arrays(mlp)
         state = AdamState.init_for(params, lr=1e-2)
         # one real step to create nonzero moments
         grads = [np.ones_like(p) for p in params]
@@ -191,23 +207,6 @@ class TestAdam:
         state = AdamState.init_for([w])
         adam_step([w], [np.zeros(2)], state)
         assert w.tolist() == [1.5, -2.0]
-
-    def test_replay_from_serialized_state(self):
-        rng = Rng(9)
-        w1 = rng.normal(size=(3, 2))
-        state = AdamState.init_for([w1], lr=5e-3)
-        g1 = rng.normal(size=(3, 2))
-        g2 = rng.normal(size=(3, 2))
-        adam_step([w1], [g1], state)
-        saved = state.to_dict()
-        w_snapshot = w1.copy()
-        adam_step([w1], [g2], state)
-
-        w2 = w_snapshot.copy()
-        restored = AdamState.from_dict(saved)
-        adam_step([w2], [g2], restored)
-        assert np.array_equal(w1, w2)
-        assert restored.step_count == state.step_count
 
     def test_flat_vector_matches_per_tensor_and_textbook_steps(self):
         # one update over a packed vector is bitwise the per-tensor update,
@@ -243,14 +242,14 @@ class TestAdam:
     def test_deterministic_training(self):
         def train(seed):
             mlp = init_mlp([4, 6, 1], Rng(seed))
-            params = mlp.parameters()
+            params = layer_arrays(mlp)
             state = AdamState.init_for(params)
             rng = Rng(seed).derive("data")
             for _ in range(25):
-                x = rng.normal(size=4)
+                x = rng.normal(size=(1, 4))
                 out, tape = forward(mlp, x, EVAL)
-                _, dpred = mse_loss(float(out[0]), 1.0)
-                grads = backward(mlp, tape, np.array([dpred])).flat_list()
+                _, dpreds = mse_loss_batch(out[:, 0], np.ones(1))
+                grads = grad_arrays(backward(mlp, tape, dpreds[:, None]))
                 adam_step(params, grads, state)
             return params
 
@@ -262,29 +261,36 @@ class TestAdam:
 
 class TestMseLoss:
     def test_perfect_prediction(self):
-        assert mse_loss(1.0, 1.0) == (0.0, 0.0)
+        loss, grad = mse_loss_batch(np.array([1.0, -2.0]), np.array([1.0, -2.0]))
+        assert loss == 0.0 and grad.tolist() == [0.0, 0.0]
 
     def test_analytic_case(self):
-        assert mse_loss(2.0, 0.0) == (4.0, 4.0)
+        # errors 2 and 0: mean square 2, gradient 2*err/B
+        loss, grad = mse_loss_batch(np.array([2.0, 1.0]), np.array([0.0, 1.0]))
+        assert loss == 2.0 and grad.tolist() == [2.0, 0.0]
 
     def test_gradient_matches_finite_differences(self):
-        p, y = 0.7, -0.3
+        p, y = np.array([0.7, 0.1]), np.array([-0.3, 0.4])
         h = 1e-6
-        fd = (mse_loss(p + h, y)[0] - mse_loss(p - h, y)[0]) / (2 * h)
-        assert mse_loss(p, y)[1] == pytest.approx(fd, abs=1e-6)
+        grad = mse_loss_batch(p, y)[1]
+        for i in range(2):
+            step = np.zeros(2)
+            step[i] = h
+            fd = (mse_loss_batch(p + step, y)[0] - mse_loss_batch(p - step, y)[0]) / (2 * h)
+            assert grad[i] == pytest.approx(fd, abs=1e-6)
 
     def test_nonfinite_raises(self):
         with pytest.raises(NumericError):
-            mse_loss(float("inf"), 0.0)
+            mse_loss_batch(np.array([float("inf")]), np.array([0.0]))
 
     def test_batch_matches_scalar_mean(self):
         preds = np.array([0.2, -1.0, 2.5])
         labels = np.array([0.0, -1.5, 2.0])
         loss, grad = mse_loss_batch(preds, labels)
-        scalar_losses = [mse_loss(p, y)[0] for p, y in zip(preds, labels)]
-        assert loss == pytest.approx(np.mean(scalar_losses))
+        errors = [float(p) - float(y) for p, y in zip(preds, labels)]
+        assert loss == pytest.approx(sum(e * e for e in errors) / 3)
         for i in range(3):
-            assert grad[i] == pytest.approx(mse_loss(preds[i], labels[i])[1] / 3)
+            assert grad[i] == pytest.approx(2.0 * errors[i] / 3)
 
 
 class TestValidation:
@@ -309,7 +315,13 @@ class TestValidation:
 
 
 def test_relu_dropout_masks_and_scales():
-    z = np.array([[1.0, -1.0, 2.0]])
-    mask = np.array([[True, True, False]])
-    out = relu_dropout_forward(z, mask, 0.5)
-    assert out.tolist() == [[2.0, 0.0, 0.0]]
+    # relu, then inverted dropout at keep 0.5: kept positive units double
+    mlp = single_layer(np.eye(3), np.zeros(3), RELU, dropout_rate=0.5)
+    z = np.tile([1.0, -1.0, 2.0], (8, 1))
+    out, tape = forward(mlp, z, TRAIN, Rng(0))
+    mask = tape.masks[0]
+    assert mask.any() and not mask.all()
+    assert np.array_equal(out, np.where(mask, [2.0, 0.0, 4.0], 0.0))
+    # backward passes gradient only through kept positive units, scaled alike
+    grads = backward(mlp, tape, np.ones((8, 3)))
+    assert np.array_equal(grads.input_grad, np.where(mask, [2.0, 0.0, 2.0], 0.0))
