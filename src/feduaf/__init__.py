@@ -15,7 +15,6 @@ from .datagen import (
     ClientDataset,
     Sample,
     generate_federation,
-    inject_missing,
     load_jsonl,
     mark_noisy_clients,
     save_jsonl,

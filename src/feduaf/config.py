@@ -203,14 +203,22 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return from_dict(ExperimentConfig, raw)
 
 
-def read_json(path, what: str):
-    """Parse a UTF-8 JSON file; a missing file raises ConfigError, an
-    undecodable or malformed one ParseError, each naming the file."""
+def open_input(path, what: str, mode: str = "rb", **kwargs):
+    """open() an input file; a missing path or a directory is a ConfigError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return open(path, mode, **kwargs)
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}")
+    except IsADirectoryError:
+        raise ConfigError(f"{what} path is a directory: {path}")
+
+
+def read_json(path, what: str):
+    """Parse a UTF-8 JSON file opened by `open_input`; an undecodable or
+    malformed one raises ParseError naming the file."""
+    try:
+        with open_input(path, what, "r", encoding="utf-8") as fh:
+            return json.load(fh)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})")
     except json.JSONDecodeError as exc:

@@ -1,4 +1,4 @@
-"""Synthetic federated multimodal data, missing-modality injection, noisy
+"""Synthetic federated multimodal data with missing modalities, noisy
 client marking, and JSONL ingestion.
 
 The generator draws a shared latent factor per sample; the label is a
@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import FederationSpec, is_finite_list, is_finite_number
+from .config import FederationSpec, is_finite_list, is_finite_number, open_input
 from .exceptions import ConfigError, ParseError, ValidationError
 from .fusion import MODALITIES, ModalityMask
 from .rng import Rng
@@ -31,16 +31,19 @@ SPLIT_FRACTIONS = (0.7, 0.1, 0.2)
 
 @dataclass
 class Sample:
-    features: dict  # modality -> float64 vector, available modalities only
-    mask: ModalityMask
+    features: dict  # modality -> float64 vector; its keys are the available modalities
     label: float
+
+    @property
+    def mask(self) -> ModalityMask:
+        return ModalityMask.of(*self.features)
 
     def validate(self):
         lo, hi = LABEL_RANGE
         if not np.isfinite(self.label) or not lo <= self.label <= hi:
             raise ValidationError(f"label {self.label} outside [{lo}, {hi}]")
-        if set(self.features) != set(self.mask.modalities()):
-            raise ValidationError("features must exist exactly for available modalities")
+        if not set(self.features) <= set(MODALITIES):
+            raise ValidationError(f"features keys must be modalities {MODALITIES}")
         for m, vec in self.features.items():
             if not np.isfinite(vec).all():
                 raise ValidationError(f"non-finite features for modality {m!r}")
@@ -54,11 +57,8 @@ class ClientDataset:
     def validate(self):
         if not self.samples:
             raise ValidationError(f"client {self.client_id!r} has no samples")
-        for s in self.samples:
-            if not s.mask.modalities():
-                raise ValidationError(
-                    f"client {self.client_id!r} has a sample with no modality"
-                )
+        if not all(s.features for s in self.samples):
+            raise ValidationError(f"client {self.client_id!r} has a sample with no modality")
 
 
 @dataclass
@@ -72,9 +72,9 @@ class ClientData:
     is_noisy: bool = False
 
 
-def split_dataset(dataset: ClientDataset) -> ClientData:
-    """Positional 70/10/20 train/val/test split (at least 1 train and 1 test)."""
-    n = len(dataset.samples)
+def _split_bounds(n: int) -> tuple:
+    """(lo, hi) index ranges of the positional 70/10/20 train/val/test split
+    of n samples; at least 1 train and 1 test sample when n >= 2."""
     n_tr = max(1, int(round(SPLIT_FRACTIONS[0] * n)))
     n_val = int(round(SPLIT_FRACTIONS[1] * n))
     while n_tr + n_val >= n:
@@ -82,21 +82,22 @@ def split_dataset(dataset: ClientDataset) -> ClientData:
             n_val -= 1
         else:
             n_tr -= 1
-    parts = (
-        dataset.samples[:n_tr],
-        dataset.samples[n_tr:n_tr + n_val],
-        dataset.samples[n_tr + n_val:],
-    )
-    train, val, test = (ClientDataset(dataset.client_id, list(p)) for p in parts)
-    return ClientData(dataset.client_id, train, val, test)
+    return (0, n_tr), (n_tr, n_tr + n_val), (n_tr + n_val, n)
+
+
+def split_dataset(dataset: ClientDataset) -> ClientData:
+    """Positional 70/10/20 train/val/test split (at least 1 train and 1 test)."""
+    cid = dataset.client_id
+    return ClientData(cid, *(ClientDataset(cid, dataset.samples[lo:hi])
+                             for lo, hi in _split_bounds(len(dataset.samples))))
 
 
 def generate_federation(spec: FederationSpec) -> list:
     """Generate the full synthetic federation described by `spec`.
 
     Deterministic in the spec: the same spec yields bit-identical data.
-    Missing-modality injection and noisy-client marking are applied here so
-    the result is ready for training.
+    Missing-modality masks (one stream per split) and noisy-client marking
+    are applied here so the result is ready for training.
     """
     spec.validate()
     master = Rng(spec.seed).derive("datagen")
@@ -107,36 +108,30 @@ def generate_federation(spec: FederationSpec) -> list:
         / np.sqrt(spec.latent_dim)
         for m in MODALITIES
     }
+    n = spec.samples_per_client
     clients = []
     for k in range(spec.num_clients):
         cid = f"spk{k:03d}"
         crng = master.derive("client", k)
         style = crng.normal(0.0, 2.0 * spec.noniid_intensity)
-        z = crng.normal(size=(spec.samples_per_client, spec.latent_dim))
-        eta = crng.normal(0.0, LABEL_NOISE_STD, size=spec.samples_per_client)
+        z = crng.normal(size=(n, spec.latent_dim))
+        eta = crng.normal(0.0, LABEL_NOISE_STD, size=n)
         labels = np.clip(z @ w + style + eta, *LABEL_RANGE)
         feats = {}
         for m in MODALITIES:
-            noise = crng.normal(0.0, MODALITY_NOISE_STD[m],
-                                size=(spec.samples_per_client, spec.feature_dim))
+            noise = crng.normal(0.0, MODALITY_NOISE_STD[m], size=(n, spec.feature_dim))
             feats[m] = z @ projections[m].T + noise
-        samples = [
-            Sample({m: feats[m][i].copy() for m in MODALITIES},
-                   ModalityMask.full(), float(labels[i]))
-            for i in range(spec.samples_per_client)
-        ]
-        client = split_dataset(ClientDataset(cid, samples))
-        if spec.missing_ratio > 0.0:
-            client = replace(
-                client,
-                train=inject_missing(client.train, spec.missing_ratio,
-                                     crng.derive("missing", "train")),
-                val=inject_missing(client.val, spec.missing_ratio,
-                                   crng.derive("missing", "val")),
-                test=inject_missing(client.test, spec.missing_ratio,
-                                    crng.derive("missing", "test")),
-            )
-        clients.append(client)
+        splits = []
+        for split, (lo, hi) in zip(("train", "val", "test"), _split_bounds(n)):
+            masks = np.ones((hi - lo, len(MODALITIES)), dtype=bool)
+            if spec.missing_ratio > 0.0:
+                masks, _, _ = draw_missing_masks(masks, spec.missing_ratio,
+                                                 crng.derive("missing", split))
+            splits.append(ClientDataset(cid, [
+                Sample({m: feats[m][i].copy() for mi, m in enumerate(MODALITIES) if row[mi]},
+                       float(labels[i]))
+                for i, row in zip(range(lo, hi), masks)]))
+        clients.append(ClientData(cid, *splits))
     return mark_noisy_clients(clients, spec.noisy_ratio, master.derive("noisy"))
 
 
@@ -166,22 +161,6 @@ def draw_missing_masks(masks: np.ndarray, rho_m: float, rng: Rng):
     return out, drop_events, restored
 
 
-def inject_missing(dataset: ClientDataset, rho_m: float, rng: Rng) -> ClientDataset:
-    """Apply sample-level modality dropping to a dataset (non-destructive)."""
-    if not 0.0 <= rho_m < 1.0:
-        raise ConfigError(f"rho_m must be in [0, 1), got {rho_m}")
-    if rho_m == 0.0:
-        return dataset
-    masks = np.array([s.mask.as_array() for s in dataset.samples], dtype=bool)
-    new_masks, _, _ = draw_missing_masks(masks, rho_m, rng)
-    new_samples = []
-    for s, row in zip(dataset.samples, new_masks):
-        mask = ModalityMask({m: bool(row[mi]) for mi, m in enumerate(MODALITIES)})
-        feats = {m: s.features[m] for m in mask.modalities()}
-        new_samples.append(Sample(feats, mask, s.label))
-    return ClientDataset(dataset.client_id, new_samples)
-
-
 def mark_noisy_clients(clients: list, noisy_ratio: float, rng: Rng) -> list:
     """Flag exactly round(ratio * K) clients, chosen uniformly without replacement."""
     if not 0.0 <= noisy_ratio <= 1.0:
@@ -208,7 +187,7 @@ def batch_from_samples(samples: list, feature_dims: dict):
     for i, s in enumerate(samples):
         labels[i] = s.label
         for mi, m in enumerate(MODALITIES):
-            if s.mask.available[m]:
+            if m in s.features:
                 feats[m][i] = s.features[m]
                 mask[i, mi] = True
     return feats, mask, labels
@@ -233,8 +212,8 @@ def save_jsonl(path, clients: list):
                     rec = {
                         "client_id": ds.client_id,
                         "features": {m: s.features[m].tolist()
-                                     for m in MODALITIES if s.mask.available[m]},
-                        "mask": {m: int(s.mask.available[m]) for m in MODALITIES},
+                                     for m in MODALITIES if m in s.features},
+                        "mask": {m: int(m in s.features) for m in MODALITIES},
                         "label": float(s.label),
                     }
                     fh.write(json.dumps(rec) + "\n")
@@ -262,17 +241,15 @@ def _parse_line(line: str, lineno: int, dims_seen: dict) -> tuple:
     for m, bit in mask_rec.items():
         if type(bit) is not int or bit not in (0, 1):  # not True, not 1.0
             raise ValidationError(f"line {lineno}: mask[{m!r}] must be 0 or 1")
-    mask = ModalityMask({m: bool(mask_rec[m]) for m in MODALITIES})
-    if not mask.modalities():
+    available = sorted(m for m in MODALITIES if mask_rec[m])
+    if not available:
         raise ValidationError(f"line {lineno}: sample has no available modality")
     feats_rec = rec["features"]
     if not isinstance(feats_rec, dict):
         raise ValidationError(f"line {lineno}: features must be an object")
-    if set(feats_rec) != set(mask.modalities()):
-        raise ValidationError(
-            f"line {lineno}: features keys {sorted(feats_rec)} do not match "
-            f"available modalities {sorted(mask.modalities())}"
-        )
+    if sorted(feats_rec) != available:
+        raise ValidationError(f"line {lineno}: features keys {sorted(feats_rec)} do not "
+                              f"match available modalities {available}")
     features = {}
     for m, vec in feats_rec.items():
         if not is_finite_list(vec) or not vec:
@@ -291,18 +268,14 @@ def _parse_line(line: str, lineno: int, dims_seen: dict) -> tuple:
     lo, hi = LABEL_RANGE
     if not is_finite_number(label) or not lo <= label <= hi:
         raise ValidationError(f"line {lineno}: label must be a number in [{lo}, {hi}]")
-    return cid, Sample(features, mask, float(label))
+    return cid, Sample(features, float(label))
 
 
 def load_jsonl(path) -> list:
     """Parse a JSONL dataset into ClientDatasets grouped by client_id."""
     groups: dict = {}
     dims_seen: dict = {}
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        raise ConfigError(f"dataset file not found: {path}")
-    with fh:
+    with open_input(path, "dataset") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")

@@ -34,7 +34,7 @@ from .datagen import (
     split_dataset,
 )
 from .exceptions import ConfigError, NumericError, ProtocolError, ShapeError
-from .fusion import fusion_weights_batch, uniform_fusion_weights_batch
+from .fusion import MODALITIES, fusion_weights_batch, uniform_fusion_weights_batch
 from .model import (
     ModelParams,
     assign_shared,
@@ -193,13 +193,13 @@ def _batch_fusion_weights(model, feats, mask, config, rng):
     return uniform_fusion_weights_batch(mask)
 
 
-def client_mean_uncertainty(model: ModelParams, samples: list, config, rng: Rng) -> float:
-    """Mean fused prediction uncertainty over (a subsample of) the samples."""
+def client_mean_uncertainty(model: ModelParams, feats: dict, mask, config, rng: Rng) -> float:
+    """Mean fused prediction uncertainty over (a subsample of) the batch rows."""
     max_n = config.reliability.max_samples
-    if len(samples) > max_n:
-        idx = np.sort(rng.choice(len(samples), size=max_n, replace=False))
-        samples = [samples[i] for i in idx]
-    feats, mask, _ = batch_from_samples(samples, model.feature_dims())
+    if mask.shape[0] > max_n:
+        idx = np.sort(rng.choice(mask.shape[0], size=max_n, replace=False))
+        feats = {m: f[idx] for m, f in feats.items()}
+        mask = mask[idx]
     alpha = _batch_fusion_weights(model, feats, mask, config, rng)
     u = fused_uncertainties(model, feats, alpha, config.uncertainty.passes, rng)
     return float(u.mean())
@@ -254,7 +254,7 @@ def local_update(client: ClientRuntime, theta_s: list, config,
             extract_shared(client.model, share_enc), config.noise_gamma, rng)
         assign_shared(client.model, perturbed, share_enc)
     # reliability reflects the model as uploaded (perturbation included)
-    u_bar = client_mean_uncertainty(client.model, train.samples, config, rng)
+    u_bar = client_mean_uncertainty(client.model, feats_all, mask_all, config, rng)
     reliability = 1.0 / (u_bar + config.reliability.epsilon)
     update = ClientUpdate(cid, extract_shared(client.model, share_enc),
                           reliability, n)
@@ -369,6 +369,10 @@ def build_federation_data(config, seed: int) -> list:
         if len(datasets) < 2:
             raise ConfigError(f"{config.data_path}: a federation needs at least "
                               f"2 clients, found {len(datasets)}")
+        for ds in datasets:
+            if len(ds.samples) < 2:
+                raise ConfigError(f"{config.data_path}: client {ds.client_id!r} has "
+                                  f"{len(ds.samples)} sample(s); a split needs 2 or more")
         clients = [split_dataset(ds) for ds in datasets]
         return mark_noisy_clients(clients, fed.noisy_ratio,
                                   Rng(seed).derive("noisy-mark"))
@@ -377,8 +381,6 @@ def build_federation_data(config, seed: int) -> list:
 
 
 def _data_feature_dims(clients: list, default_dim: int) -> dict:
-    from .fusion import MODALITIES
-
     dims = {}
     for client in clients:
         for ds in (client.train, client.val, client.test):

@@ -39,14 +39,18 @@ def to_container(tensors: list) -> dict:
 
 def from_container(doc: dict) -> list:
     """Parse a container, rejecting anything `to_container` could not have
-    written: missing keys, non-string or repeated names, malformed shapes,
-    data that is not a flat list of finite numbers, or of the wrong length."""
+    written: a version other than the integer 1, no `tensors` list, missing
+    keys, non-string or repeated names, malformed shapes, data that is not a
+    flat list of finite numbers, or of the wrong length."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ValidationError("not a feduaf.params container")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValidationError(f"unsupported container version {doc.get('version')!r}")
+    version, tensors = doc.get("version"), doc.get("tensors")
+    if type(version) is not int or version != FORMAT_VERSION:  # not True, not 1.0
+        raise ValidationError(f"unsupported container version {version!r}")
+    if not isinstance(tensors, list):
+        raise ValidationError(f"'tensors' must be a list, got {tensors!r}")
     out, names = [], set()
-    for entry in doc.get("tensors", []):
+    for entry in tensors:
         if not isinstance(entry, dict) or not {"name", "shape", "data"} <= entry.keys():
             raise ValidationError("each tensor entry needs 'name', 'shape' and 'data'")
         name, shape, data = entry["name"], entry["shape"], entry["data"]

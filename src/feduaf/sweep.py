@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import STRATEGIES, ExperimentConfig, config_from_dict
+from .config import STRATEGIES, ExperimentConfig, config_from_dict, open_input
 from .exceptions import ConfigError, FeduafError, ParseError, ValidationError
 from .fedsim import run_simulation, threads_from_env
 
@@ -173,11 +173,19 @@ def _series_label(row: dict) -> str:
     return label
 
 
+_LABEL_COLUMNS = {"strategy": STRATEGIES, "ua_fusion": ("0", "1"), "rel_agg": ("0", "1")}
+
+
+def _cell_error(sweep_csv, i: int, col: str, want: str, value) -> ValidationError:
+    return ValidationError(f"{sweep_csv}: data row {i}: column {col!r} "
+                           f"must be {want}, got {value!r}")
+
+
 def _read_sweep_rows(sweep_csv) -> list:
-    """The data rows of a sweep.csv, with the x axes and mae_mean as finite
-    floats (mae_mean None where empty)."""
+    """The data rows of a sweep.csv, checked as `write_sweep_csv` writes them,
+    with the x axes and mae_mean as finite floats (mae_mean None where empty)."""
     try:
-        with open(sweep_csv, "r", encoding="utf-8", newline="") as fh:
+        with open_input(sweep_csv, "sweep csv", "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or set(CSV_COLUMNS) - set(reader.fieldnames):
                 missing = sorted(set(CSV_COLUMNS) - set(reader.fieldnames or []))
@@ -188,6 +196,12 @@ def _read_sweep_rows(sweep_csv) -> list:
     if not rows:
         raise ValidationError("sweep csv has no data rows")
     for i, row in enumerate(rows, start=1):
+        for col, allowed in _LABEL_COLUMNS.items():
+            if row[col] not in allowed:
+                raise _cell_error(sweep_csv, i, col, f"one of {allowed}", row[col])
+        count = row["seed_count"]  # None in a short row
+        if not (isinstance(count, str) and count.isascii() and count.isdigit()):
+            raise _cell_error(sweep_csv, i, "seed_count", "a non-negative integer", count)
         for col in ("rho_m", "noniid", "noisy_ratio", "mae_mean"):
             value = row[col]
             if col == "mae_mean" and value == "":
@@ -198,8 +212,7 @@ def _read_sweep_rows(sweep_csv) -> list:
             except (TypeError, ValueError):  # TypeError: a short row holds None
                 number = math.nan
             if not math.isfinite(number):
-                raise ValidationError(f"{sweep_csv}: data row {i}: column {col!r} "
-                                      f"must be a finite number, got {value!r}")
+                raise _cell_error(sweep_csv, i, col, "a finite number", value)
             row[col] = number
     return rows
 

@@ -44,6 +44,10 @@ def assert_names_undecodable(err, path):
     assert err.startswith("error: ") and f"{path}: " in err and "not UTF-8" in err
 
 
+def assert_names_directory(err, path):
+    assert err.startswith("error: ") and f"is a directory: {path}" in err
+
+
 class TestCli:
     def test_gen_data_writes_loadable_jsonl(self, tmp_path, capsys):
         spec = write_json(tmp_path / "spec.json",
@@ -62,6 +66,8 @@ class TestCli:
         spec = write_undecodable(tmp_path / "spec.json")
         assert main(["gen-data", "--spec", spec, "--out", str(tmp_path / "x")]) == 1
         assert_names_undecodable(capsys.readouterr().err, spec)
+        assert main(["gen-data", "--spec", str(tmp_path), "--out", str(tmp_path / "x")]) == 1
+        assert_names_directory(capsys.readouterr().err, tmp_path)
 
     @pytest.mark.parametrize("key,value", [
         ("num_clients", "5"), ("missing_ratio", "0.5"),
@@ -114,6 +120,10 @@ class TestCli:
                           dict(SMALL_RUN, output_dir=str(tmp_path / "out")))
         assert main(["sweep", "--config", path, "--grid", bad]) == 1
         assert_names_undecodable(capsys.readouterr().err, bad)
+        for argv in (["run", "--config", str(tmp_path)],
+                     ["sweep", "--config", path, "--grid", str(tmp_path)]):
+            assert main(argv) == 1
+            assert_names_directory(capsys.readouterr().err, tmp_path)
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "", "1_0", " 2 ", "+2", "\u0663"])
     def test_bad_thread_env_exits_1(self, tmp_path, capsys, monkeypatch, value):
@@ -150,6 +160,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert_names_undecodable(err, data)
         assert "line 2" in err
+        # a directory is no dataset file
+        path = write_json(tmp_path / "config.json", dict(cfg, data_path=str(tmp_path)))
+        assert main(["run", "--config", path]) == 1
+        assert_names_directory(capsys.readouterr().err, tmp_path)
+
+    def test_client_too_small_to_split_exits_1(self, tmp_path, capsys):
+        # one sample gives client 'a' no train split; the run must stop
+        # before the initial evaluation writes anything
+        data = tmp_path / "data.jsonl"
+        data.write_text(GOOD_LINE.replace('"c"', '"a"') + GOOD_LINE * 6)
+        out = tmp_path / "out"
+        path = write_json(tmp_path / "config.json",
+                          dict(SMALL_RUN, data_path=str(data), output_dir=str(out)))
+        assert main(["run", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "client 'a' has 1 sample" in err
+        assert not (out / "rounds.jsonl").exists()
 
     @pytest.mark.parametrize("vec", ['"ab"', '[0.1, {"x": 1}]'])
     def test_bad_feature_values_exit_1(self, tmp_path, capsys, vec):
@@ -181,6 +208,12 @@ class TestCli:
         bad = write_undecodable(tmp_path / "sweep.csv")
         assert main(["plotdata", "--in", bad, "--out", str(tmp_path / "figs")]) == 1
         assert_names_undecodable(capsys.readouterr().err, bad)
+        assert main(["plotdata", "--in", str(tmp_path), "--out", str(tmp_path / "figs")]) == 1
+        assert_names_directory(capsys.readouterr().err, tmp_path)
+        missing = tmp_path / "none.csv"
+        assert main(["plotdata", "--in", str(missing), "--out", str(tmp_path / "figs")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"not found: {missing}" in err
 
 
 class TestGrid:
@@ -352,7 +385,9 @@ class TestPlotData:
         assert len(header) == 2  # x axis + one series
 
     @pytest.mark.parametrize("column,value", [
-        ("rho_m", "abc"), ("noniid", ""), ("noisy_ratio", "inf"), ("mae_mean", "xyz")])
+        ("rho_m", "abc"), ("noniid", ""), ("noisy_ratio", "inf"), ("mae_mean", "xyz"),
+        ("strategy", "bogus"), ("ua_fusion", "yes"), ("rel_agg", "2"),
+        ("seed_count", "-3"), ("seed_count", "1.5")])
     def test_non_numeric_cell_rejected(self, tmp_path, capsys, column, value):
         good = {"dataset_tag": "synthetic", "rho_m": "0.1", "noniid": "0.0",
                 "noisy_ratio": "0.0", "strategy": "uniform", "ua_fusion": "1",

@@ -1,4 +1,6 @@
-"""Synthetic federation generator, missing-modality injection, JSONL I/O."""
+"""Synthetic federation generator, missing-modality masks, JSONL I/O."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -11,14 +13,13 @@ from feduaf.datagen import (
     batch_from_samples,
     draw_missing_masks,
     generate_federation,
-    inject_missing,
     load_jsonl,
     mark_noisy_clients,
     save_jsonl,
     split_dataset,
 )
 from feduaf.exceptions import ConfigError, ParseError, ValidationError
-from feduaf.fusion import MODALITIES, ModalityMask
+from feduaf.fusion import MODALITIES
 from feduaf.rng import Rng
 
 
@@ -95,6 +96,17 @@ class TestGenerateFederation:
         spreads = {m: feats[m].var(axis=0).mean() for m in MODALITIES}
         assert spreads["a"] > spreads["v"] > spreads["t"]
 
+    @pytest.mark.parametrize("rho,digest", [(0.0, "40fa1830b8cd0ee5"),
+                                            (0.8, "d25a98f70b872120")])
+    def test_output_pinned_byte_for_byte(self, tmp_path, rho, digest):
+        # 20 samples per client give a non-empty val split, so every split's
+        # missing-modality stream is pinned
+        spec = FederationSpec(num_clients=3, samples_per_client=20, noniid_intensity=1.0,
+                              missing_ratio=rho, noisy_ratio=0.5, seed=11)
+        path = tmp_path / "data.jsonl"
+        save_jsonl(path, generate_federation(spec))
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
+
     def test_invalid_spec_rejected(self):
         with pytest.raises(ConfigError):
             generate_federation(FederationSpec(num_clients=1))
@@ -107,17 +119,11 @@ class TestGenerateFederation:
 
 
 class TestInjectMissing:
-    def make_dataset(self, n=50, seed=0):
-        rng = Rng(seed)
-        samples = [Sample({m: rng.normal(size=4) for m in MODALITIES},
-                          ModalityMask.full(), 0.0) for _ in range(n)]
-        return ClientDataset("c0", samples)
-
-    def test_zero_ratio_is_identity(self):
-        ds = self.make_dataset()
-        out = inject_missing(ds, 0.0, Rng(1))
-        assert all(s.mask.available == {m: True for m in MODALITIES}
-                   for s in out.samples)
+    def generate(self, rho, seed):
+        spec = FederationSpec(num_clients=3, samples_per_client=100,
+                              missing_ratio=rho, seed=seed)
+        return [s for c in generate_federation(spec)
+                for ds in (c.train, c.val, c.test) for s in ds.samples]
 
     def test_empirical_drop_rate(self):
         # pre-restoration drop rate within [0.78, 0.82] at rho=0.8 over
@@ -128,15 +134,14 @@ class TestInjectMissing:
         assert 0.78 <= rate <= 0.82
 
     def test_every_sample_keeps_a_modality(self):
-        ds = self.make_dataset(n=300)
-        out = inject_missing(ds, 0.9, Rng(3))
-        assert all(s.mask.modalities() for s in out.samples)
-        out.validate()
+        samples = self.generate(0.9, 3)
+        assert all(s.mask.modalities() for s in samples)
+        ClientDataset("c0", samples).validate()
 
     def test_features_match_mask_after_injection(self):
-        ds = self.make_dataset(n=100)
-        out = inject_missing(ds, 0.5, Rng(4))
-        for s in out.samples:
+        samples = self.generate(0.5, 4)
+        assert any(len(s.features) < len(MODALITIES) for s in samples)
+        for s in samples:
             s.validate()
 
     def test_restoration_rate_matches_rho_cubed(self):
@@ -162,11 +167,6 @@ class TestInjectMissing:
                                                & (drop_events[:, j] == bj))
                 p_value = stats.chi2_contingency(table).pvalue
                 assert p_value > 0.01
-
-    def test_invalid_rho_rejected(self):
-        ds = self.make_dataset(n=2)
-        with pytest.raises(ConfigError):
-            inject_missing(ds, 1.0, Rng(0))
 
 
 class TestMarkNoisy:
@@ -198,8 +198,8 @@ class TestSplit:
     ])
     def test_fractions(self, n, expected):
         rng = Rng(0)
-        samples = [Sample({m: rng.normal(size=2) for m in MODALITIES},
-                          ModalityMask.full(), 0.0) for _ in range(n)]
+        samples = [Sample({m: rng.normal(size=2) for m in MODALITIES}, 0.0)
+                   for _ in range(n)]
         c = split_dataset(ClientDataset("x", samples))
         assert (len(c.train.samples), len(c.val.samples), len(c.test.samples)) == expected
 
@@ -295,9 +295,8 @@ class TestJsonl:
 class TestBatching:
     def test_zero_fill_and_mask(self):
         rng = Rng(0)
-        s1 = Sample({m: rng.normal(size=3) for m in MODALITIES},
-                    ModalityMask.full(), 1.0)
-        s2 = Sample({"t": rng.normal(size=3)}, ModalityMask.of("t"), -1.0)
+        s1 = Sample({m: rng.normal(size=3) for m in MODALITIES}, 1.0)
+        s2 = Sample({"t": rng.normal(size=3)}, -1.0)
         feats, mask, labels = batch_from_samples([s1, s2], {m: 3 for m in MODALITIES})
         assert labels.tolist() == [1.0, -1.0]
         assert mask.tolist() == [[True, True, True], [False, False, True]]

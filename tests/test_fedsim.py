@@ -26,7 +26,7 @@ from feduaf.fedsim import (
     run_round,
     run_simulation,
 )
-from feduaf.fusion import MODALITIES, ModalityMask
+from feduaf.fusion import MODALITIES
 from feduaf.model import ModelParams, extract_shared
 from feduaf.nn import IDENTITY, DenseLayer, Mlp
 from feduaf.rng import Rng
@@ -240,8 +240,7 @@ class TestLocalUpdate:
             prediction_head=Mlp([DenseLayer(np.full((1, dim), 0.3), np.zeros(1),
                                             IDENTITY)]),
         )
-        sample = Sample({m: np.array([1.0, -0.5, 0.25]) for m in MODALITIES},
-                        ModalityMask.full(), 2.0)
+        sample = Sample({m: np.array([1.0, -0.5, 0.25]) for m in MODALITIES}, 2.0)
         ds = ClientDataset("c0", [sample])
         data = ClientData("c0", ds, ClientDataset("c0", [sample]),
                           ClientDataset("c0", [sample]))

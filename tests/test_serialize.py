@@ -63,8 +63,10 @@ def test_container_rejects_wrong_format():
 
 
 def test_container_rejects_wrong_version():
-    with pytest.raises(ValidationError):
-        from_container({"format": "feduaf.params", "version": 99, "tensors": []})
+    # to_container writes the integer 1, so True and 1.0 are not versions
+    for version in (99, True, 1.0):
+        with pytest.raises(ValidationError):
+            from_container({"format": "feduaf.params", "version": version, "tensors": []})
 
 
 def container(*entries):
@@ -86,6 +88,12 @@ def test_container_rejects_incomplete_entry():
             from_container(container(entry))
     with pytest.raises(ValidationError):
         from_container(container("w"))
+    # to_container always writes a tensors list, empty or not
+    with pytest.raises(ValidationError):
+        from_container({"format": "feduaf.params", "version": 1})
+    for tensors in (5, None):
+        with pytest.raises(ValidationError):
+            from_container({"format": "feduaf.params", "version": 1, "tensors": tensors})
     for shape, data in (([1], ["x"]), ([1], ["1.5"]), ([1], [True]), ([1], [10**400]),
                         ([4], [[1, 2], [3, 4]]), ([2, 2], [[1, 2], [3, 4]])):
         with pytest.raises(ValidationError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from feduaf.datagen import Sample
 from feduaf.exceptions import ConfigError, DegenerateInputError, ValidationError
-from feduaf.fusion import MODALITIES, ModalityMask
+from feduaf.fusion import MODALITIES
 import feduaf.model
 from feduaf.model import init_model_params
 from feduaf.rng import Rng
@@ -34,7 +34,7 @@ def tiny_model(dropout=0.2, seed=0):
 def full_sample(seed=1, label=0.5):
     rng = Rng(seed)
     feats = {m: rng.normal(size=4) for m in MODALITIES}
-    return Sample(feats, ModalityMask.full(), label)
+    return Sample(feats, label)
 
 
 class TestVariance:
@@ -143,7 +143,7 @@ class TestMcPredict:
 
     def test_no_modalities_rejected(self):
         s = full_sample()
-        empty = Sample({}, ModalityMask({m: False for m in MODALITIES}), s.label)
+        empty = Sample({}, s.label)
         with pytest.raises(DegenerateInputError):
             mc_predict(tiny_model(), empty, 5, Rng(0))
 
@@ -206,7 +206,7 @@ class TestModalityUncertainties:
     def test_single_modality_sample(self):
         model = tiny_model()
         s = full_sample()
-        only_t = Sample({"t": s.features["t"]}, ModalityMask.of("t"), s.label)
+        only_t = Sample({"t": s.features["t"]}, s.label)
         est = modality_uncertainties(model, only_t, 5, Rng(2))
         assert set(est.per_modality) == {"t"}
         assert est.fused >= 0.0
@@ -220,8 +220,7 @@ class TestModalityUncertainties:
     def test_covers_available_modalities_only(self):
         model = tiny_model()
         s = full_sample()
-        partial = Sample({m: s.features[m] for m in ("v", "t")},
-                         ModalityMask.of("v", "t"), s.label)
+        partial = Sample({m: s.features[m] for m in ("v", "t")}, s.label)
         est = modality_uncertainties(model, partial, 5, Rng(2))
         assert set(est.per_modality) == {"v", "t"}
         est.validate()
@@ -265,7 +264,7 @@ class TestTrainedModalitySeparation:
                 feats["a"] = noise_rng.normal(0.0, audio_scale,
                                               size=len(feats["a"]))
                 est = modality_uncertainties(
-                    model, Sample(feats, ModalityMask.full(), s.label),
+                    model, Sample(feats, s.label),
                     passes, Rng(1).derive("probe", t, i))
                 u_a.append(est.per_modality["a"])
                 u_t.append(est.per_modality["t"])
