@@ -103,13 +103,21 @@ def uniform_fusion_weights_batch(mask: np.ndarray) -> np.ndarray:
     return np.where(mask, 1.0, 0.0) / counts
 
 
-def fuse_batch(reps: dict, alpha: np.ndarray) -> np.ndarray:
-    """Convex combination h = sum_m alpha[:, m] * h_m; `reps[m]` is (B, D)
-    and `alpha` is (B, 3) in v/a/t order."""
-    fused = None
+def weighted_rows(alpha: np.ndarray) -> dict:
+    """Modality -> indices of the rows of `alpha` (B, 3) that weight it."""
+    nonzero = alpha.T != 0.0
+    return {m: nonzero[mi].nonzero()[0] for mi, m in enumerate(MODALITIES)}
+
+
+def fuse_batch(reps: dict, alpha: np.ndarray, rows: dict) -> np.ndarray:
+    """Convex combination h = sum_m alpha[:, m] * h_m over a (B, 3) `alpha`
+    in v/a/t order. `rows` is `weighted_rows(alpha)` and `reps[m]` holds h_m
+    on just those rows, (len(rows[m]), D): a zero-weight row adds exactly 0,
+    so it is never computed. Terms are added into zeros in v/a/t order."""
+    fused = np.zeros((alpha.shape[0], reps[MODALITIES[0]].shape[1]))
     for mi, m in enumerate(MODALITIES):
-        contrib = alpha[:, mi:mi + 1] * reps[m]
-        fused = contrib if fused is None else fused + contrib
+        idx = rows[m]
+        fused[idx] = fused.take(idx, axis=0) + alpha[idx, mi:mi + 1] * reps[m]
     return fused
 
 
@@ -145,5 +153,7 @@ def fuse(reps: dict, alpha: FusionWeights) -> np.ndarray:
     shape = h[weighted[0]].shape
     if any(h[m].shape != shape for m in weighted):
         raise ShapeError("modality representations have mismatched shapes")
-    rows = {m: h.get(m, np.zeros(shape)).reshape(1, -1) for m in MODALITIES}
-    return fuse_batch(rows, alpha.as_array()[None, :])[0].reshape(shape)
+    batch = alpha.as_array()[None, :]
+    gathered = {m: h[m].reshape(1, -1) if m in h else np.zeros((0, h[weighted[0]].size))
+                for m in MODALITIES}
+    return fuse_batch(gathered, batch, weighted_rows(batch))[0].reshape(shape)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ShapeError
-from .fusion import MODALITIES, fuse_batch
+from .fusion import MODALITIES, fuse_batch, weighted_rows
 from .nn import EVAL, IDENTITY, RELU, TRAIN, Mlp, Tape, backward, forward, init_mlp
 from .rng import Rng
 
@@ -145,27 +145,35 @@ def assign_shared(model: ModelParams, tensors: list, share_encoders: bool = Fals
 class FusedTape:
     """Records of one fused forward pass, consumed by backward_fused."""
 
-    encoder_tapes: dict  # modality -> Tape
+    encoder_tapes: dict  # modality -> Tape over the rows that weight it
     shared_tape: Tape
     pred_tape: Tape
     alpha: np.ndarray  # (B, 3)
+    rows: dict  # modality -> row indices with a nonzero weight on it
 
 
 def forward_fused(model: ModelParams, feats: dict, alpha: np.ndarray,
                   mode: str = EVAL, rng: Rng | None = None):
     """Full pipeline on a batch: encoders -> weighted fusion -> heads.
 
-    `feats[m]` is (B, d_m) with zero rows where the modality is missing;
-    `alpha` is (B, 3) in v/a/t order and is treated as constant. Returns
-    (predictions (B,), tape).
+    `feats[m]` is (B, d_m); `alpha` is (B, 3) in v/a/t order and is treated
+    as constant. Each encoder runs only on the rows with a nonzero weight on
+    its modality (other rows of `feats[m]` are never read), and still draws
+    the dropout masks of all B rows. Returns (predictions (B,), tape).
     """
     alpha = np.asarray(alpha, dtype=np.float64)
+    b = alpha.shape[0]
+    rows = weighted_rows(alpha)
     reps, enc_tapes = {}, {}
     for m in MODALITIES:
-        reps[m], enc_tapes[m] = forward(model.encoders[m], feats[m], mode, rng)
-    s, shared_tape = forward(model.shared_head, fuse_batch(reps, alpha), mode, rng)
+        feat = np.asarray(feats[m], dtype=np.float64)
+        if len(feat) != b:
+            raise ShapeError(f"features of {m!r} have {len(feat)} rows, weights {b}")
+        reps[m], enc_tapes[m] = forward(model.encoders[m], feat.take(rows[m], axis=0),
+                                        mode, rng, rows=(b, rows[m]))
+    s, shared_tape = forward(model.shared_head, fuse_batch(reps, alpha, rows), mode, rng)
     out, pred_tape = forward(model.prediction_head, s, mode, rng)
-    return out[:, 0], FusedTape(enc_tapes, shared_tape, pred_tape, alpha)
+    return out[:, 0], FusedTape(enc_tapes, shared_tape, pred_tape, alpha, rows)
 
 
 def backward_fused(model: ModelParams, tape: FusedTape, dpreds: np.ndarray,
@@ -173,9 +181,10 @@ def backward_fused(model: ModelParams, tape: FusedTape, dpreds: np.ndarray,
     """Gradient of one fused pass as one vector aligned with `model.theta`.
 
     Fusion weights act as constants: each encoder sees its representation
-    gradient scaled by alpha_m (zero for missing/zero-weight samples). Every
-    layer's gradient is written straight into its slot of the vector, which
-    is `out = (grad, model.layer_views(grad))` when given (every slot is
+    gradient scaled by alpha_m on the rows it ran on; an encoder that ran on
+    no row gets an exact zero gradient. Every layer's gradient is written
+    straight into its slot of the vector, which is
+    `out = (grad, model.layer_views(grad))` when given (every slot is
     overwritten, so one buffer serves every step) and is allocated otherwise.
     """
     dpreds = np.asarray(dpreds, dtype=np.float64)
@@ -189,7 +198,8 @@ def backward_fused(model: ModelParams, tape: FusedTape, dpreds: np.ndarray,
                         out=views["shared_head"])
     dh = g_shared.input_grad  # (B, fusion_dim)
     for mi, m in enumerate(MODALITIES):
-        d_rep = tape.alpha[:, mi:mi + 1] * dh
+        idx = tape.rows[m]
+        d_rep = tape.alpha[idx, mi:mi + 1] * dh.take(idx, axis=0)
         backward(model.encoders[m], tape.encoder_tapes[m], d_rep,
                  out=views[f"encoder.{m}"])
     return grad

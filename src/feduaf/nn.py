@@ -108,8 +108,10 @@ class Tape:
     mode: str
     inputs: list = field(default_factory=list)  # per-layer input (B, in_dim)
     preacts: list = field(default_factory=list)  # per-layer z (B, out_dim)
-    masks: list = field(default_factory=list)  # bool dropout mask or None
-    keep: float = 1.0
+    # per relu layer (z > 0) & dropout keep mask, bool (B, out_dim); None
+    # for identity layers
+    gates: list = field(default_factory=list)
+    keep: float = 1.0  # dropout keep probability; 1.0 when no dropout ran
 
 
 def _as_batch(x: np.ndarray, dim: int, what: str) -> np.ndarray:
@@ -119,38 +121,46 @@ def _as_batch(x: np.ndarray, dim: int, what: str) -> np.ndarray:
     return x
 
 
-def forward(mlp: Mlp, x: np.ndarray, mode: str = EVAL, rng: Rng | None = None):
+def forward(mlp: Mlp, x: np.ndarray, mode: str = EVAL, rng: Rng | None = None,
+            rows=None):
     """Run the MLP on a (B, in_dim) batch; returns (output, tape).
 
     Train mode draws fresh inverted-dropout masks from `rng` after each relu
     (no draw when dropout_rate is 0, so rate-0 train equals eval exactly).
-    Eval mode is deterministic and consumes no randomness.
+    Eval mode is deterministic and consumes no randomness. `rows=(B, idx)`
+    says that `x` holds rows `idx` of a B-row batch: each dropout layer then
+    draws the mask of the whole (B, out_dim) batch and keeps rows `idx`, so
+    the random stream does not depend on which rows are computed.
     """
     if mode not in (TRAIN, EVAL):
         raise ConfigError(f"mode must be '{TRAIN}' or '{EVAL}', got {mode!r}")
     a = _as_batch(x, mlp.in_dim, "input")
     if not np.isfinite(a).all():
         raise NumericError("non-finite values in forward input")
+    if rows is not None and len(rows[1]) != a.shape[0]:
+        raise ShapeError(f"{len(rows[1])} row indices for {a.shape[0]} input rows")
+    n, idx = (a.shape[0], slice(None)) if rows is None else rows
     use_dropout = mode == TRAIN and mlp.dropout_rate > 0.0
     if use_dropout and rng is None:
         raise ConfigError("train-mode forward with dropout requires an rng")
-    keep = 1.0 - mlp.dropout_rate
+    keep = 1.0 - mlp.dropout_rate if use_dropout else 1.0
     tape = Tape(mlp_id=id(mlp), mode=mode, keep=keep)
     for layer in mlp.layers:
-        z = a @ layer.weights.T + layer.bias
+        z = a @ layer.weights.T
+        z += layer.bias
         tape.inputs.append(a)
         tape.preacts.append(z)
         if layer.activation == RELU:
+            gate = z > 0.0
             if use_dropout:
-                mask = rng.random(z.shape) < keep
-                a = np.where((z > 0.0) & mask, z / keep, 0.0)
-                tape.masks.append(mask)
-            else:
-                a = np.where(z > 0.0, z, 0.0)
-                tape.masks.append(None)
+                gate &= (rng.random((n, z.shape[1])) < keep)[idx]
+            a = z * gate
+            if use_dropout:
+                a /= keep
+            tape.gates.append(gate)
         else:
             a = z
-            tape.masks.append(None)
+            tape.gates.append(None)
     return a, tape
 
 
@@ -163,9 +173,10 @@ class MlpGradients:
 def backward(mlp: Mlp, tape: Tape, loss_grad: np.ndarray, out=None) -> MlpGradients:
     """Backprop the loss gradient through a taped forward pass.
 
-    Dropout masks recorded on the tape are respected: dropped units pass no
-    gradient. Returns per-parameter gradients plus the gradient w.r.t. the
-    forward input (used to chain encoders through fusion). `out`, if given,
+    The relu/dropout gates recorded on the tape are respected: inactive and
+    dropped units pass no gradient. Returns per-parameter gradients plus the
+    gradient w.r.t. the forward input (used to chain encoders through
+    fusion). `out`, if given,
     holds one (d_weights, d_bias) pair of arrays per layer to write the
     gradients into; otherwise they are allocated.
     """
@@ -181,13 +192,11 @@ def backward(mlp: Mlp, tape: Tape, loss_grad: np.ndarray, out=None) -> MlpGradie
                for layer in mlp.layers]
     for i in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[i]
-        z = tape.preacts[i]
-        if layer.activation == RELU:
-            mask = tape.masks[i]
-            if mask is not None:
-                gz = np.where((z > 0.0) & mask, g / tape.keep, 0.0)
-            else:
-                gz = np.where(z > 0.0, g, 0.0)
+        gate = tape.gates[i]
+        if gate is not None:
+            gz = g * gate
+            if tape.keep != 1.0:
+                gz /= tape.keep
         else:
             gz = g
         dw, db = out[i]

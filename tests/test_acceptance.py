@@ -138,7 +138,7 @@ def _relu_kink_margin(model, tape):
     for mlp, t in comps:
         for layer, z in zip(mlp.layers, t.preacts):
             if layer.activation == RELU:
-                margin = min(margin, float(np.abs(z).min()))
+                margin = min(margin, float(np.abs(z).min(initial=np.inf)))
     return margin
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import feduaf.model
 from feduaf.exceptions import ShapeError
 from feduaf.fusion import MODALITIES
 from feduaf.model import (
@@ -50,6 +51,16 @@ def random_batch(b=4, seed=1):
     alpha = np.abs(rng.normal(size=(b, 3))) + 0.1
     alpha /= alpha.sum(axis=1, keepdims=True)
     labels = rng.normal(size=b)
+    return feats, alpha, labels
+
+
+def sparse_batch(b=8, seed=3):
+    """`random_batch` where no row weights audio and rows 0, 3, 6 give
+    video no weight either."""
+    feats, alpha, labels = random_batch(b, seed)
+    alpha[:, 1] = 0.0
+    alpha[::3, 0] = 0.0
+    alpha /= alpha.sum(axis=1, keepdims=True)
     return feats, alpha, labels
 
 
@@ -122,8 +133,9 @@ class TestBackwardFused:
                                    rtol=1e-9)
 
     def test_train_mode_gradcheck_with_frozen_masks(self):
-        # dropout masks recorded on the tape define the differentiated
-        # function; finite differences replay through the same masks
+        # dropout masks recorded on the tape's gates define the
+        # differentiated function; finite differences replay through them
+        # on the rows each encoder ran on, with the relu re-evaluated
         model = tiny_model(dropout=0.4, seed=2)
         feats, alpha, labels = random_batch(seed=5)
         preds, tape = forward_fused(model, feats, alpha, TRAIN, Rng(77))
@@ -131,29 +143,25 @@ class TestBackwardFused:
         analytic = backward_fused(model, tape, dpreds)
 
         def loss_fn():
-            out = None
+            out = np.zeros((len(labels), model.shared_head.in_dim))
             for mi, m in enumerate(MODALITIES):
-                a = feats[m]
+                rows = tape.rows[m]
+                a = feats[m][rows]
                 mlp = model.encoders[m]
                 t = tape.encoder_tapes[m]
                 for li, layer in enumerate(mlp.layers):
                     z = a @ layer.weights.T + layer.bias
                     if layer.activation == "relu":
-                        a = np.where(z > 0, z, 0.0)
-                        if t.masks[li] is not None:
-                            a = np.where(t.masks[li], a / t.keep, 0.0)
+                        a = np.where((z > 0) & t.gates[li], z / t.keep, 0.0)
                     else:
                         a = z
-                contrib = alpha[:, mi:mi + 1] * a
-                out = contrib if out is None else out + contrib
+                out[rows] += alpha[rows, mi:mi + 1] * a
             for mlp, t in ((model.shared_head, tape.shared_tape),
                            (model.prediction_head, tape.pred_tape)):
                 for li, layer in enumerate(mlp.layers):
                     z = out @ layer.weights.T + layer.bias
                     if layer.activation == "relu":
-                        out = np.where(z > 0, z, 0.0)
-                        if t.masks[li] is not None:
-                            out = np.where(t.masks[li], out / t.keep, 0.0)
+                        out = np.where((z > 0) & t.gates[li], z / t.keep, 0.0)
                     else:
                         out = z
             return mse_loss_batch(out[:, 0], labels)[0]
@@ -274,3 +282,76 @@ class TestMcPaths:
         feats, alpha, _ = random_batch()
         preds = fused_mc_predictions(model, feats, alpha, 4, Rng(3))
         assert np.ptp(preds, axis=0).max() == 0.0
+
+
+class TestWeightedRows:
+    def test_rng_consumption_is_pinned(self):
+        # each dropout layer draws the masks of the whole batch, whichever
+        # rows its encoder runs on: 4 dropout layers x 6 units x (8 + 3 * 8)
+        # rows = 768 draws, and Philox makes 4 per counter step
+        model = tiny_model(dropout=0.3)
+        feats, alpha, _ = sparse_batch()
+        rng = Rng(11)
+        forward_fused(model, feats, alpha, TRAIN, rng)
+        fused_mc_predictions(model, feats, alpha, 3, rng)
+        state = rng.gen.bit_generator.state
+        assert state["state"]["counter"].tolist() == [192, 0, 0, 0]
+        assert state["buffer_pos"] == 4
+
+    def test_zero_weight_rows_are_never_read(self):
+        model = tiny_model(dropout=0.3)
+        feats, alpha, labels = sparse_batch()
+        weighted = alpha != 0.0
+        zeroed = {m: np.where(weighted[:, mi:mi + 1], feats[m], 0.0)
+                  for mi, m in enumerate(MODALITIES)}
+        garbage = {m: np.where(weighted[:, mi:mi + 1], feats[m], fill)
+                   for (mi, m), fill in zip(enumerate(MODALITIES), (np.nan, 1e300, -np.inf))}
+        np.testing.assert_array_equal(predict_eval(model, garbage, alpha),
+                                      predict_eval(model, zeroed, alpha))
+        np.testing.assert_array_equal(fused_mc_predictions(model, garbage, alpha, 3, Rng(4)),
+                                      fused_mc_predictions(model, zeroed, alpha, 3, Rng(4)))
+        grads = []
+        for batch in (garbage, zeroed):
+            preds, tape = forward_fused(model, batch, alpha, TRAIN, Rng(4))
+            grads.append(backward_fused(model, tape, mse_loss_batch(preds, labels)[1]))
+        np.testing.assert_array_equal(grads[0], grads[1])
+
+    def test_encoders_forward_only_weighted_rows(self, monkeypatch):
+        model = tiny_model(dropout=0.3)
+        feats, alpha, _ = sparse_batch()
+        passes = 3
+        calls = []
+        forward = feduaf.model.forward
+
+        def counting(mlp, x, *args, **kwargs):
+            calls.append((mlp, x.shape[0]))
+            return forward(mlp, x, *args, **kwargs)
+
+        monkeypatch.setattr(feduaf.model, "forward", counting)
+        forward_fused(model, feats, alpha, TRAIN, Rng(4))
+        fused_mc_predictions(model, feats, alpha, passes, Rng(4))
+        for mi, m in enumerate(MODALITIES):
+            weighted = int(np.count_nonzero(alpha[:, mi]))
+            rows = [n for mlp, n in calls if mlp is model.encoders[m]]
+            assert rows == [weighted, passes * weighted]
+        for head in (model.shared_head, model.prediction_head):
+            assert [n for mlp, n in calls if mlp is head] == [8, passes * 8]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unweighted_encoder_gets_exact_zero_gradient(self, seed):
+        model = tiny_model(seed=seed)
+        feats, alpha, labels = sparse_batch(seed=seed + 20)
+
+        def loss_fn():
+            preds, _ = forward_fused(model, feats, alpha, EVAL)
+            return mse_loss_batch(preds, labels)[0]
+
+        preds, tape = forward_fused(model, feats, alpha, EVAL)
+        _, dpreds = mse_loss_batch(preds, labels)
+        grad = np.full_like(model.theta, np.nan)
+        backward_fused(model, tape, dpreds, out=(grad, model.layer_views(grad)))
+        for w, b in model.layer_views(grad)["encoder.a"]:
+            assert np.array_equal(w, np.zeros_like(w))
+            assert np.array_equal(b, np.zeros_like(b))
+        numeric = finite_difference_grads(loss_fn, [model.theta])
+        assert_grads_close([grad], numeric)

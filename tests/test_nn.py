@@ -160,7 +160,7 @@ class TestBackward:
         mlp = init_mlp([3, 8, 1], Rng(0), dropout_rate=0.5)
         x = Rng(1).normal(size=(1, 3))
         _, tape = forward(mlp, x, TRAIN, Rng(2))
-        mask = tape.masks[0][0]
+        mask = (Rng(2).random((1, 8)) < 0.5)[0]  # the one mask forward drew
         assert not mask.all() and mask.any()  # seed chosen to mix kept/dropped
         grads = backward(mlp, tape, np.ones((1, 1)))
         dw0 = grads.layers[0][0]
@@ -319,9 +319,72 @@ def test_relu_dropout_masks_and_scales():
     mlp = single_layer(np.eye(3), np.zeros(3), RELU, dropout_rate=0.5)
     z = np.tile([1.0, -1.0, 2.0], (8, 1))
     out, tape = forward(mlp, z, TRAIN, Rng(0))
-    mask = tape.masks[0]
+    mask = Rng(0).random((8, 3)) < 0.5  # the one mask forward drew
     assert mask.any() and not mask.all()
     assert np.array_equal(out, np.where(mask, [2.0, 0.0, 4.0], 0.0))
     # backward passes gradient only through kept positive units, scaled alike
     grads = backward(mlp, tape, np.ones((8, 3)))
     assert np.array_equal(grads.input_grad, np.where(mask, [2.0, 0.0, 2.0], 0.0))
+
+
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
+@pytest.mark.parametrize("mode", [TRAIN, EVAL])
+def test_gates_match_where_reference_bit_for_bit(mode, dropout_rate):
+    # relu and inverted dropout against their np.where forms, with the masks
+    # drawn from the same stream in the same order
+    rng = Rng(4)
+    mlp = init_mlp([5, 9, 8, 3], rng, dropout_rate)
+    for layer in mlp.layers:
+        layer.bias += rng.normal(0.0, 0.5, size=layer.bias.shape)
+    x = rng.normal(size=(7, 5))
+    g = rng.normal(size=(7, 3))
+    out, tape = forward(mlp, x, mode, Rng(8))
+    grads = backward(mlp, tape, g)
+
+    draws = Rng(8)
+    keep = 1.0 - dropout_rate
+    use_dropout = mode == TRAIN and dropout_rate > 0.0
+    a, inputs, zs, masks = x, [], [], []
+    for layer in mlp.layers:
+        z = a @ layer.weights.T + layer.bias
+        inputs.append(a)
+        zs.append(z)
+        mask = draws.random(z.shape) < keep if use_dropout and layer.activation == RELU else None
+        masks.append(mask)
+        if layer.activation != RELU:
+            a = z
+        elif mask is None:
+            a = np.where(z > 0.0, z, 0.0)
+        else:
+            a = np.where((z > 0.0) & mask, z / keep, 0.0)
+    np.testing.assert_array_equal(out, a)
+    for i in range(len(mlp.layers) - 1, -1, -1):
+        layer, z, mask = mlp.layers[i], zs[i], masks[i]
+        if layer.activation != RELU:
+            gz = g
+        elif mask is None:
+            gz = np.where(z > 0.0, g, 0.0)
+        else:
+            gz = np.where((z > 0.0) & mask, g / keep, 0.0)
+        np.testing.assert_array_equal(grads.layers[i][0], gz.T @ inputs[i])
+        np.testing.assert_array_equal(grads.layers[i][1], gz.sum(axis=0))
+        g = gz @ layer.weights
+    np.testing.assert_array_equal(grads.input_grad, g)
+
+
+def test_rows_keep_the_whole_batch_masks():
+    # a forward over rows idx of a batch draws the masks of the whole batch
+    # and applies their rows idx
+    mlp = init_mlp([4, 16, 16, 2], Rng(0), dropout_rate=0.5)
+    x = Rng(1).normal(size=(9, 4))
+    idx = np.array([1, 4, 5, 8])
+    full_rng, part_rng = Rng(2), Rng(2)
+    full_out, full_tape = forward(mlp, x, TRAIN, full_rng)
+    out, tape = forward(mlp, x[idx], TRAIN, part_rng, rows=(9, idx))
+    for gate, full_gate in zip(tape.gates, full_tape.gates):
+        if gate is not None:
+            assert np.array_equal(gate, full_gate[idx])
+    np.testing.assert_allclose(out, full_out[idx], rtol=1e-12)
+    assert part_rng.random() == full_rng.random()
+    with pytest.raises(ShapeError):
+        forward(mlp, x[idx], TRAIN, Rng(2), rows=(9, idx[:3]))
