@@ -36,24 +36,11 @@ from .fedsim import (
     run_round,
     run_simulation,
 )
-from .fusion import (
-    MODALITIES,
-    FusionWeights,
-    ModalityMask,
-    fuse,
-    fusion_weights,
-    uniform_fusion_weights,
-)
+from .fusion import MODALITIES
 from .model import ModelParams, init_model_params
 from .nn import AdamState, DenseLayer, Mlp, adam_step, backward, forward, init_mlp
 from .rng import Rng
-from .uncertainty import (
-    UncertaintyEstimate,
-    entropy_uncertainty,
-    mc_predict,
-    modality_uncertainties,
-    variance_uncertainty,
-)
+from .uncertainty import entropy_uncertainty, variance_uncertainty
 
 
 def _pin_openblas() -> None:

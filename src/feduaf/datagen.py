@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import FederationSpec, is_finite_list, is_finite_number, open_input
 from .exceptions import ConfigError, ParseError, ValidationError
-from .fusion import MODALITIES, ModalityMask
+from .fusion import MODALITIES
 from .rng import Rng
 
 LABEL_RANGE = (-3.0, 3.0)
@@ -34,31 +34,11 @@ class Sample:
     features: dict  # modality -> float64 vector; its keys are the available modalities
     label: float
 
-    @property
-    def mask(self) -> ModalityMask:
-        return ModalityMask.of(*self.features)
-
-    def validate(self):
-        lo, hi = LABEL_RANGE
-        if not np.isfinite(self.label) or not lo <= self.label <= hi:
-            raise ValidationError(f"label {self.label} outside [{lo}, {hi}]")
-        if not set(self.features) <= set(MODALITIES):
-            raise ValidationError(f"features keys must be modalities {MODALITIES}")
-        for m, vec in self.features.items():
-            if not np.isfinite(vec).all():
-                raise ValidationError(f"non-finite features for modality {m!r}")
-
 
 @dataclass
 class ClientDataset:
     client_id: str
     samples: list
-
-    def validate(self):
-        if not self.samples:
-            raise ValidationError(f"client {self.client_id!r} has no samples")
-        if not all(s.features for s in self.samples):
-            raise ValidationError(f"client {self.client_id!r} has a sample with no modality")
 
 
 @dataclass

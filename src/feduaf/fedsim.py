@@ -209,6 +209,8 @@ def local_update(client: ClientRuntime, theta_s: list, config,
                  round_index: int, rng: Rng):
     """One client's round: local epochs, optional noisy perturbation of the
     shared block, reliability from post-perturbation uncertainty, upload.
+    `run_round` reports a NumericError raised here as this client diverging
+    in round `round_index`.
 
     Returns (ClientUpdate, LocalStats).
     """
@@ -241,9 +243,7 @@ def local_update(client: ClientRuntime, theta_s: list, config,
             preds, tape = forward_fused(client.model, feats_b, alpha, TRAIN, rng)
             loss, dpreds = mse_loss_batch(preds, labels_all[idx])
             if not np.isfinite(loss):
-                raise NumericError(
-                    f"client {cid!r} diverged at round {round_index} (non-finite loss)"
-                )
+                raise NumericError("non-finite loss")
             backward_fused(client.model, tape, dpreds, out=grad_out)
             if prox_mu > 0.0:
                 grad[shared] += fedprox_penalty(theta[shared], theta_global, prox_mu)[1]
@@ -329,13 +329,14 @@ def run_round(state: FederationState, config, run_rng: Rng,
 
     def work(i):
         client = state.clients[i]
-        rng_i = run_rng.derive("round", r, "client", client.data.client_id)
-        return local_update(client, theta, config, r, rng_i)
+        cid = client.data.client_id
+        rng_i = run_rng.derive("round", r, "client", cid)
+        try:
+            return local_update(client, theta, config, r, rng_i)
+        except NumericError as exc:
+            raise NumericError(f"round {r}: client {cid!r} diverged: {exc}") from exc
 
-    try:
-        results = _map(work, selected, n_threads)
-    except NumericError as exc:
-        raise NumericError(f"round {r}: {exc}") from exc
+    results = _map(work, selected, n_threads)
     updates = [res[0] for res in results]
     stats = {u.client_id: s for u, s in zip(updates, (res[1] for res in results))}
     strategy = effective_strategy(config)

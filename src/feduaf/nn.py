@@ -107,7 +107,6 @@ class Tape:
     mlp_id: int
     mode: str
     inputs: list = field(default_factory=list)  # per-layer input (B, in_dim)
-    preacts: list = field(default_factory=list)  # per-layer z (B, out_dim)
     # per relu layer (z > 0) & dropout keep mask, bool (B, out_dim); None
     # for identity layers
     gates: list = field(default_factory=list)
@@ -149,7 +148,6 @@ def forward(mlp: Mlp, x: np.ndarray, mode: str = EVAL, rng: Rng | None = None,
         z = a @ layer.weights.T
         z += layer.bias
         tape.inputs.append(a)
-        tape.preacts.append(z)
         if layer.activation == RELU:
             gate = z > 0.0
             if use_dropout:
@@ -182,10 +180,10 @@ def backward(mlp: Mlp, tape: Tape, loss_grad: np.ndarray, out=None) -> MlpGradie
     """
     if tape.mlp_id != id(mlp):
         raise StateError("tape was produced by a different network")
-    if len(tape.preacts) != len(mlp.layers):
+    if len(tape.inputs) != len(mlp.layers):
         raise StateError("tape layer count does not match network")
     g = _as_batch(loss_grad, mlp.out_dim, "loss_grad")
-    if g.shape[0] != tape.preacts[-1].shape[0]:
+    if g.shape[0] != tape.inputs[0].shape[0]:
         raise ShapeError("loss_grad batch size does not match tape")
     if out is None:
         out = [(np.empty_like(layer.weights), np.empty_like(layer.bias))

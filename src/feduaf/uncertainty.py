@@ -10,32 +10,14 @@ signal, not a Bayesian posterior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .datagen import batch_from_samples
-from .exceptions import ConfigError, DegenerateInputError, NumericError, ValidationError
-from .fusion import MODALITIES, fusion_weights_batch
+from .exceptions import ConfigError, ValidationError
+from .fusion import MODALITIES
 from .model import ModelParams, fused_mc_predictions, probe_predictions
 from .rng import Rng
 
 PROB_SUM_TOL = 1e-6
-
-
-@dataclass
-class UncertaintyEstimate:
-    per_modality: dict  # modality -> u_m, available modalities only
-    fused: float
-    passes: int
-
-    def validate(self):
-        if self.passes < 2:
-            raise ConfigError("uncertainty needs at least 2 passes")
-        values = list(self.per_modality.values()) + [self.fused]
-        arr = np.array(values, dtype=np.float64)
-        if not np.isfinite(arr).all() or (arr < 0).any():
-            raise NumericError("uncertainties must be finite and non-negative")
 
 
 def population_variance(preds: np.ndarray) -> np.ndarray:
@@ -98,36 +80,3 @@ def fused_uncertainties(model: ModelParams, feats: dict, alpha: np.ndarray,
     """Per-sample population variance of T fused stochastic passes; (B,)."""
     preds = fused_mc_predictions(model, feats, alpha, T, rng)
     return population_variance(preds)
-
-
-def _sample_mc(model: ModelParams, sample, T: int, rng: Rng) -> tuple:
-    """The B=1 pipeline of one sample: probe uncertainties (1, 3), the mask
-    (1, 3) and T fused predictions (T, 1) under the weights they imply."""
-    if T < 2:
-        raise ConfigError(f"uncertainty passes must be >= 2, got {T}")
-    feats, mask, _ = batch_from_samples([sample], model.feature_dims())
-    if not mask.any():
-        raise DegenerateInputError("sample has no available modality")
-    u = probe_uncertainties(model, feats, mask, T, rng)
-    alpha = fusion_weights_batch(u, mask)
-    return u, mask, fused_mc_predictions(model, feats, alpha, T, rng)
-
-
-def mc_predict(model: ModelParams, sample, T: int, rng: Rng) -> list:
-    """T stochastic full-pipeline predictions for one sample.
-
-    Fusion weights come from a fresh probe round; each of the T passes then
-    draws its own dropout masks through encoders and heads.
-    """
-    _, _, preds = _sample_mc(model, sample, T, rng)
-    return [float(p) for p in preds[:, 0]]
-
-
-def modality_uncertainties(model: ModelParams, sample, T: int, rng: Rng) -> UncertaintyEstimate:
-    """Per-modality and fused uncertainty for one sample."""
-    u, mask, preds = _sample_mc(model, sample, T, rng)
-    per_modality = {m: float(u[0, mi])
-                    for mi, m in enumerate(MODALITIES) if mask[0, mi]}
-    est = UncertaintyEstimate(per_modality, float(population_variance(preds)[0]), T)
-    est.validate()
-    return est

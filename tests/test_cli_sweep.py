@@ -165,6 +165,17 @@ class TestCli:
         assert main(["run", "--config", path]) == 1
         assert_names_directory(capsys.readouterr().err, tmp_path)
 
+    def test_diverging_client_exits_2_and_is_named(self, tmp_path, capsys):
+        # a huge step overflows the first client's weights after one step;
+        # the next forward sees non-finite values
+        cfg = dict(SMALL_RUN, output_dir=str(tmp_path / "out"),
+                   training=dict(SMALL_RUN["training"], lr=1e300))
+        path = write_json(tmp_path / "config.json", cfg)
+        assert main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: round 1: ")
+        assert "client 'spk000' diverged: " in err
+
     def test_client_too_small_to_split_exits_1(self, tmp_path, capsys):
         # one sample gives client 'a' no train split; the run must stop
         # before the initial evaluation writes anything

@@ -7,16 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feduaf.exceptions import DegenerateInputError, ShapeError, StateError
+from feduaf.exceptions import DegenerateInputError
 from feduaf.fusion import (
     MODALITIES,
-    FusionWeights,
-    ModalityMask,
-    fuse,
-    fusion_weights,
+    fuse_batch,
     fusion_weights_batch,
-    uniform_fusion_weights,
     uniform_fusion_weights_batch,
+    weighted_rows,
 )
 
 from oracles import masked_softmax_ref
@@ -24,57 +21,65 @@ from oracles import masked_softmax_ref
 finite_u = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 
 
+def one_row(u: dict):
+    """A one-row batch: u over the available modalities, NaN elsewhere,
+    and the (1, 3) mask of the modalities u names."""
+    row = np.array([[u.get(m, np.nan) for m in MODALITIES]])
+    mask = np.array([[m in u for m in MODALITIES]])
+    return row, mask
+
+
+def weights(u: dict) -> dict:
+    w = fusion_weights_batch(*one_row(u))
+    return dict(zip(MODALITIES, w[0]))
+
+
+def mask_of(*modalities) -> np.ndarray:
+    return np.array([[m in modalities for m in MODALITIES]])
+
+
 class TestFusionWeights:
     def test_equal_uncertainties_give_equal_weights(self):
-        w = fusion_weights({"v": 0.3, "a": 0.3, "t": 0.3}, ModalityMask.full())
+        w = weights({"v": 0.3, "a": 0.3, "t": 0.3})
         for m in MODALITIES:
-            assert w.alpha[m] == pytest.approx(1 / 3)
+            assert w[m] == pytest.approx(1 / 3)
 
     def test_two_modalities_analytic(self):
         # exp(0) / (exp(0) + exp(-ln 3)) = 1 / (1 + 1/3) = 0.75
-        w = fusion_weights({"v": 0.0, "a": math.log(3)}, ModalityMask.of("v", "a"))
-        assert w.alpha["v"] == pytest.approx(0.75)
-        assert w.alpha["a"] == pytest.approx(0.25)
-        assert w.alpha["t"] == 0.0
+        w = weights({"v": 0.0, "a": math.log(3)})
+        assert w["v"] == pytest.approx(0.75)
+        assert w["a"] == pytest.approx(0.25)
+        assert w["t"] == 0.0
 
     def test_single_modality_gets_weight_one(self):
-        w = fusion_weights({"t": 1.7}, ModalityMask.of("t"))
-        assert w.alpha == {"v": 0.0, "a": 0.0, "t": 1.0}
-
-    def test_missing_uncertainty_raises(self):
-        with pytest.raises(StateError):
-            fusion_weights({"v": 0.1}, ModalityMask.of("v", "a"))
+        w = weights({"t": 1.7})
+        assert w == {"v": 0.0, "a": 0.0, "t": 1.0}
 
     def test_all_masked_raises(self):
-        with pytest.raises(ShapeError):
-            ModalityMask({})
-        mask = ModalityMask({m: False for m in MODALITIES})
         with pytest.raises(DegenerateInputError):
-            fusion_weights({}, mask)
+            fusion_weights_batch(*one_row({}))
 
     def test_nonfinite_uncertainty_is_fail_soft(self):
-        w = fusion_weights({"v": np.nan, "a": 0.5, "t": 0.5}, ModalityMask.full())
-        assert w.alpha["v"] == 0.0
-        assert w.alpha["a"] == pytest.approx(0.5)
+        w = weights({"v": np.nan, "a": 0.5, "t": 0.5})
+        assert w["v"] == 0.0
+        assert w["a"] == pytest.approx(0.5)
 
     def test_huge_uncertainties_stay_finite(self):
-        w = fusion_weights({"v": 1e308, "a": 1e308, "t": 0.0}, ModalityMask.full())
-        assert math.isfinite(w.alpha["v"]) and w.alpha["t"] == pytest.approx(1.0)
+        w = weights({"v": 1e308, "a": 1e308, "t": 0.0})
+        assert math.isfinite(w["v"]) and w["t"] == pytest.approx(1.0)
 
     @given(uv=finite_u, ua=finite_u, ut=finite_u)
     def test_weights_sum_to_one(self, uv, ua, ut):
-        w = fusion_weights({"v": uv, "a": ua, "t": ut}, ModalityMask.full())
-        assert abs(sum(w.alpha.values()) - 1.0) <= 1e-9
-        w.validate(ModalityMask.full())
+        w = weights({"v": uv, "a": ua, "t": ut})
+        assert abs(sum(w.values()) - 1.0) <= 1e-9
 
     @given(uv=finite_u, ua=finite_u, ut=finite_u,
            c=st.floats(min_value=-20, max_value=20, allow_nan=False))
     def test_shift_invariance(self, uv, ua, ut, c):
-        mask = ModalityMask.full()
-        base = fusion_weights({"v": uv, "a": ua, "t": ut}, mask)
-        shifted = fusion_weights({"v": uv + c, "a": ua + c, "t": ut + c}, mask)
+        base = weights({"v": uv, "a": ua, "t": ut})
+        shifted = weights({"v": uv + c, "a": ua + c, "t": ut + c})
         for m in MODALITIES:
-            assert abs(base.alpha[m] - shifted.alpha[m]) <= 1e-12
+            assert abs(base[m] - shifted[m]) <= 1e-12
 
     # strictness is only representable while the softmax is unsaturated
     # (u gaps beyond ~37 round both weights to exactly 0 and 1 in float64)
@@ -82,15 +87,13 @@ class TestFusionWeights:
            ua=st.floats(min_value=0.0, max_value=15.0, allow_nan=False),
            bump=st.floats(min_value=1e-3, max_value=10, allow_nan=False))
     def test_monotonicity(self, uv, ua, bump):
-        mask = ModalityMask.of("v", "a")
-        before = fusion_weights({"v": uv, "a": ua}, mask)
-        after = fusion_weights({"v": uv + bump, "a": ua}, mask)
-        assert after.alpha["v"] < before.alpha["v"]
+        before = weights({"v": uv, "a": ua})
+        after = weights({"v": uv + bump, "a": ua})
+        assert after["v"] < before["v"]
 
     @given(uv=finite_u, ua=finite_u)
     def test_masked_weight_is_exactly_zero(self, uv, ua):
-        w = fusion_weights({"v": uv, "a": ua}, ModalityMask.of("v", "a"))
-        assert w.alpha["t"] == 0.0
+        assert weights({"v": uv, "a": ua})["t"] == 0.0
 
 
 class TestUniformWeights:
@@ -100,39 +103,39 @@ class TestUniformWeights:
         (("t",), 1.0),
     ])
     def test_equal_split(self, mods, expected):
-        w = uniform_fusion_weights(ModalityMask.of(*mods))
-        for m in MODALITIES:
-            assert w.alpha[m] == (pytest.approx(expected) if m in mods else 0.0)
+        w = uniform_fusion_weights_batch(mask_of(*mods))[0]
+        for mi, m in enumerate(MODALITIES):
+            assert w[mi] == (pytest.approx(expected) if m in mods else 0.0)
 
     def test_all_masked_raises(self):
-        mask = ModalityMask({m: False for m in MODALITIES})
         with pytest.raises(DegenerateInputError):
-            uniform_fusion_weights(mask)
+            uniform_fusion_weights_batch(mask_of())
+
+
+def fuse_one(reps: dict, alpha: dict) -> list:
+    """fuse_batch on one row; reps[m] is given for the weighted modalities
+    and is a zero-row block for the others."""
+    batch = np.array([[alpha.get(m, 0.0) for m in MODALITIES]])
+    rows = weighted_rows(batch)
+    width = len(next(iter(reps.values())))
+    gathered = {m: np.array([reps[m]]) if len(rows[m]) else np.zeros((0, width))
+                for m in MODALITIES}
+    return fuse_batch(gathered, batch, rows)[0].tolist()
 
 
 class TestFuse:
     def test_single_modality_identity(self):
-        out = fuse({"v": np.array([1.0, 1.0])}, FusionWeights({"v": 1.0}))
-        assert out.tolist() == [1.0, 1.0]
+        assert fuse_one({"v": [1.0, 1.0]}, {"v": 1.0}) == [1.0, 1.0]
 
     def test_symmetric_average(self):
-        out = fuse({"v": np.array([0.0, 2.0]), "a": np.array([2.0, 0.0])},
-                   FusionWeights({"v": 0.5, "a": 0.5}))
-        assert out.tolist() == [1.0, 1.0]
+        out = fuse_one({"v": [0.0, 2.0], "a": [2.0, 0.0]}, {"v": 0.5, "a": 0.5})
+        assert out == [1.0, 1.0]
 
     def test_weighted_sum(self):
-        out = fuse({"v": np.array([4.0]), "a": np.array([0.0])},
-                   FusionWeights({"v": 0.75, "a": 0.25}))
-        assert out.tolist() == [3.0]
+        assert fuse_one({"v": [4.0], "a": [0.0]}, {"v": 0.75, "a": 0.25}) == [3.0]
 
     def test_zero_weight_rep_may_be_absent(self):
-        out = fuse({"t": np.array([2.0])}, FusionWeights({"t": 1.0}))
-        assert out.tolist() == [2.0]
-
-    def test_dim_mismatch_raises(self):
-        with pytest.raises(ShapeError):
-            fuse({"v": np.zeros(2), "a": np.zeros(3)},
-                 FusionWeights({"v": 0.5, "a": 0.5}))
+        assert fuse_one({"t": [2.0]}, {"t": 1.0}) == [2.0]
 
 
 class TestBatchedVariants:
@@ -148,12 +151,9 @@ class TestBatchedVariants:
         mask = np.array([[(r[3] >> i) & 1 for i in range(3)] for r in rows], dtype=bool)
         u_masked = np.where(mask, u, np.nan)
         batch = fusion_weights_batch(u_masked, mask)
-        for i, r in enumerate(rows):
-            mask_i = ModalityMask({m: bool(mask[i, mi])
-                                   for mi, m in enumerate(MODALITIES)})
-            u_i = {m: u[i, mi] for mi, m in enumerate(MODALITIES) if mask[i, mi]}
-            expected = fusion_weights(u_i, mask_i)
-            assert batch[i].tolist() == expected.as_array().tolist()
+        for i in range(len(rows)):
+            alone = fusion_weights_batch(u_masked[i:i + 1], mask[i:i + 1])
+            assert batch[i].tolist() == alone[0].tolist()
 
     @given(st.lists(
         st.tuples(*[st.one_of(finite_u, st.sampled_from([np.nan, np.inf, -np.inf]))] * 3,
@@ -177,9 +177,8 @@ class TestBatchedVariants:
         mask = np.array([[1, 1, 1], [1, 0, 1], [0, 0, 1]], dtype=bool)
         batch = uniform_fusion_weights_batch(mask)
         for i in range(3):
-            mask_i = ModalityMask({m: bool(mask[i, mi])
-                                   for mi, m in enumerate(MODALITIES)})
-            assert batch[i].tolist() == uniform_fusion_weights(mask_i).as_array().tolist()
+            alone = uniform_fusion_weights_batch(mask[i:i + 1])
+            assert batch[i].tolist() == alone[0].tolist()
 
     def test_all_masked_row_raises(self):
         with pytest.raises(DegenerateInputError):

@@ -7,16 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from feduaf.datagen import Sample
+from feduaf.datagen import Sample, batch_from_samples
 from feduaf.exceptions import ConfigError, DegenerateInputError, ValidationError
-from feduaf.fusion import MODALITIES
+from feduaf.fusion import MODALITIES, fusion_weights_batch
 import feduaf.model
-from feduaf.model import init_model_params
+from feduaf.model import fused_mc_predictions, init_model_params
 from feduaf.rng import Rng
 from feduaf.uncertainty import (
     entropy_uncertainty,
-    mc_predict,
-    modality_uncertainties,
     probe_uncertainties,
     variance_uncertainty,
 )
@@ -35,6 +33,20 @@ def full_sample(seed=1, label=0.5):
     rng = Rng(seed)
     feats = {m: rng.normal(size=4) for m in MODALITIES}
     return Sample(feats, label)
+
+
+def sample_mc(model, sample, T, rng):
+    """One sample's pipeline as a one-row batch: probe uncertainties (1, 3),
+    NaN where missing, and T fused predictions (T,) under the weights they
+    imply, all drawn from `rng` in that order."""
+    feats, mask, _ = batch_from_samples([sample], model.feature_dims())
+    u = probe_uncertainties(model, feats, mask, T, rng)
+    alpha = fusion_weights_batch(u, mask)
+    return u, fused_mc_predictions(model, feats, alpha, T, rng)[:, 0]
+
+
+def available(u):
+    return {m for mi, m in enumerate(MODALITIES) if not np.isnan(u[0, mi])}
 
 
 class TestVariance:
@@ -123,29 +135,25 @@ class TestEntropy:
 class TestMcPredict:
     def test_zero_dropout_gives_identical_predictions(self):
         model = tiny_model(dropout=0.0)
-        preds = mc_predict(model, full_sample(), 5, Rng(3))
-        assert len(set(preds)) == 1
+        _, preds = sample_mc(model, full_sample(), 5, Rng(3))
+        assert len(set(preds.tolist())) == 1
 
     def test_fixed_seed_reproduces(self):
         model = tiny_model()
-        a = mc_predict(model, full_sample(), 5, Rng(3))
-        b = mc_predict(model, full_sample(), 5, Rng(3))
-        assert a == b
+        _, a = sample_mc(model, full_sample(), 5, Rng(3))
+        _, b = sample_mc(model, full_sample(), 5, Rng(3))
+        assert a.tolist() == b.tolist()
 
     def test_dropout_produces_spread(self):
         model = tiny_model(dropout=0.3)
-        preds = mc_predict(model, full_sample(), 5, Rng(3))
+        _, preds = sample_mc(model, full_sample(), 5, Rng(3))
         assert variance_uncertainty(preds) > 0.0
-
-    def test_too_few_passes_rejected(self):
-        with pytest.raises(ConfigError):
-            mc_predict(tiny_model(), full_sample(), 1, Rng(0))
 
     def test_no_modalities_rejected(self):
         s = full_sample()
         empty = Sample({}, s.label)
         with pytest.raises(DegenerateInputError):
-            mc_predict(tiny_model(), empty, 5, Rng(0))
+            sample_mc(tiny_model(), empty, 5, Rng(0))
 
 
 def masked_batch(b=8, seed=4):
@@ -207,23 +215,23 @@ class TestModalityUncertainties:
         model = tiny_model()
         s = full_sample()
         only_t = Sample({"t": s.features["t"]}, s.label)
-        est = modality_uncertainties(model, only_t, 5, Rng(2))
-        assert set(est.per_modality) == {"t"}
-        assert est.fused >= 0.0
+        u, preds = sample_mc(model, only_t, 5, Rng(2))
+        assert available(u) == {"t"}
+        assert variance_uncertainty(preds) >= 0.0
 
     def test_zero_dropout_gives_zero_uncertainty(self):
         model = tiny_model(dropout=0.0)
-        est = modality_uncertainties(model, full_sample(), 5, Rng(2))
-        assert all(u == 0.0 for u in est.per_modality.values())
-        assert est.fused == 0.0
+        u, preds = sample_mc(model, full_sample(), 5, Rng(2))
+        assert (u == 0.0).all()
+        assert variance_uncertainty(preds) == 0.0
 
     def test_covers_available_modalities_only(self):
         model = tiny_model()
         s = full_sample()
         partial = Sample({m: s.features[m] for m in ("v", "t")}, s.label)
-        est = modality_uncertainties(model, partial, 5, Rng(2))
-        assert set(est.per_modality) == {"v", "t"}
-        est.validate()
+        u, _ = sample_mc(model, partial, 5, Rng(2))
+        assert available(u) == {"v", "t"}
+        assert (u[~np.isnan(u)] >= 0.0).all()
 
 
 class TestTrainedModalitySeparation:
@@ -263,10 +271,9 @@ class TestTrainedModalitySeparation:
                 feats = dict(s.features)
                 feats["a"] = noise_rng.normal(0.0, audio_scale,
                                               size=len(feats["a"]))
-                est = modality_uncertainties(
-                    model, Sample(feats, s.label),
-                    passes, Rng(1).derive("probe", t, i))
-                u_a.append(est.per_modality["a"])
-                u_t.append(est.per_modality["t"])
+                u, _ = sample_mc(model, Sample(feats, s.label),
+                                 passes, Rng(1).derive("probe", t, i))
+                u_a.append(u[0, 1])
+                u_t.append(u[0, 2])
             wins += np.mean(u_a) > np.mean(u_t)
         assert wins >= 0.9 * n_trials, f"u_a > u_t in only {wins}/{n_trials} trials"
