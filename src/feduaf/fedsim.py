@@ -231,6 +231,8 @@ def local_update(client: ClientRuntime, theta_s: list, config,
     n = len(train.samples)
     feats_all, mask_all, labels_all = batch_from_samples(
         train.samples, client.model.feature_dims())
+    # uniform weights are row-wise in the mask: compute them once
+    uniform = None if config.ablation.ua_fusion else uniform_fusion_weights_batch(mask_all)
     batch = config.training.batch_size
     losses = []
     for _epoch in range(config.training.local_epochs):
@@ -238,8 +240,11 @@ def local_update(client: ClientRuntime, theta_s: list, config,
         for start in range(0, n, batch):
             idx = perm[start:start + batch]
             feats_b = {m: feats_all[m][idx] for m in feats_all}
-            mask_b = mask_all[idx]
-            alpha = _batch_fusion_weights(client.model, feats_b, mask_b, config, rng)
+            if uniform is None:
+                alpha = _batch_fusion_weights(
+                    client.model, feats_b, mask_all[idx], config, rng)
+            else:
+                alpha = uniform[idx]
             preds, tape = forward_fused(client.model, feats_b, alpha, TRAIN, rng)
             loss, dpreds = mse_loss_batch(preds, labels_all[idx])
             if not np.isfinite(loss):
@@ -332,7 +337,10 @@ def run_round(state: FederationState, config, run_rng: Rng,
         cid = client.data.client_id
         rng_i = run_rng.derive("round", r, "client", cid)
         try:
-            return local_update(client, theta, config, r, rng_i)
+            # a diverging client ends in the NumericError below, not in
+            # numpy's warnings; errstate is per thread, so it is set here
+            with np.errstate(over="ignore", invalid="ignore"):
+                return local_update(client, theta, config, r, rng_i)
         except NumericError as exc:
             raise NumericError(f"round {r}: client {cid!r} diverged: {exc}") from exc
 

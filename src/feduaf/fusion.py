@@ -54,20 +54,23 @@ def uniform_fusion_weights_batch(mask: np.ndarray) -> np.ndarray:
     return np.where(mask, 1.0, 0.0) / counts
 
 
-def weighted_rows(alpha: np.ndarray) -> dict:
-    """Modality -> indices of the rows of `alpha` (B, 3) that weight it."""
+def weighted_rows(alpha: np.ndarray) -> tuple:
+    """(rows, weights) of a (B, 3) `alpha`: modality -> indices of the rows
+    that weight it, and modality -> those rows' weights as an (n, 1)
+    column."""
     nonzero = alpha.T != 0.0
-    return {m: nonzero[mi].nonzero()[0] for mi, m in enumerate(MODALITIES)}
+    rows = {m: nonzero[mi].nonzero()[0] for mi, m in enumerate(MODALITIES)}
+    return rows, {m: alpha[rows[m], mi:mi + 1] for mi, m in enumerate(MODALITIES)}
 
 
-def fuse_batch(reps: dict, alpha: np.ndarray, rows: dict) -> np.ndarray:
-    """Convex combination h = sum_m alpha[:, m] * h_m over a (B, 3) `alpha`
-    in v/a/t order. `rows` is `weighted_rows(alpha)` and `reps[m]` holds h_m
-    on just those rows, (len(rows[m]), D): a zero-weight row adds exactly 0,
-    so it is never computed. Terms are added into zeros in v/a/t order."""
-    fused = np.zeros((alpha.shape[0], reps[MODALITIES[0]].shape[1]))
-    for mi, m in enumerate(MODALITIES):
+def fuse_batch(reps: dict, weights: dict, rows: dict, b: int) -> np.ndarray:
+    """Convex combination h = sum_m alpha[:, m] * h_m over B rows, from
+    `rows, weights = weighted_rows(alpha)`: `reps[m]` holds h_m on just
+    rows `rows[m]`, (len(rows[m]), D), whose weights are `weights[m]`. A
+    zero-weight row adds exactly 0, so it is never computed. Terms are
+    added into zeros in v/a/t order."""
+    fused = np.zeros((b, reps[MODALITIES[0]].shape[1]))
+    for m in MODALITIES:
         idx = rows[m]
-        fused[idx] = fused.take(idx, axis=0) + alpha[idx, mi:mi + 1] * reps[m]
+        fused[idx] = fused.take(idx, axis=0) + weights[m] * reps[m]
     return fused
-

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ShapeError
+from .exceptions import ConfigError, NumericError, ShapeError
 from .fusion import MODALITIES, fuse_batch, weighted_rows
 from .nn import EVAL, IDENTITY, RELU, TRAIN, Mlp, Tape, backward, forward, init_mlp
 from .rng import Rng
@@ -33,11 +33,15 @@ class ModelParams:
     prediction_head: Mlp
     theta: np.ndarray = field(init=False, repr=False, compare=False)
     layout: list = field(init=False, repr=False, compare=False)  # (name, offset, shape)
+    # the shared and prediction heads run as one network over their layers
+    heads: Mlp = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """Validate, then pack every layer into `theta` and make the layer
         arrays views into it."""
         self.validate()
+        self.heads = Mlp(self.shared_head.layers + self.prediction_head.layers,
+                         self.shared_head.dropout_rate)
         layers = [(f"{name}.layers.{i}", layer)
                   for name, mlp in self.components()
                   for i, layer in enumerate(mlp.layers)]
@@ -72,6 +76,10 @@ class ModelParams:
             raise ShapeError("shared head output does not feed prediction head")
         if self.prediction_head.out_dim != 1:
             raise ShapeError("prediction head must output a scalar")
+        if (self.prediction_head.dropout_rate != self.shared_head.dropout_rate
+                and any(layer.activation == RELU for layer in self.prediction_head.layers)):
+            raise ConfigError("a prediction head with relu layers must have the "
+                              "shared head's dropout rate")
 
     def layer_views(self, flat: np.ndarray) -> dict:
         """Component name -> per-layer (weights, bias) views into `flat`, a
@@ -146,10 +154,19 @@ class FusedTape:
     """Records of one fused forward pass, consumed by backward_fused."""
 
     encoder_tapes: dict  # modality -> Tape over the rows that weight it
-    shared_tape: Tape
-    pred_tape: Tape
-    alpha: np.ndarray  # (B, 3)
+    head_tape: Tape  # of model.heads
     rows: dict  # modality -> row indices with a nonzero weight on it
+    weights: dict  # modality -> (len(rows[m]), 1) fusion weights of those rows
+
+
+def _run_heads(model: ModelParams, h: np.ndarray, mode: str, rng: Rng | None):
+    """Shared and prediction heads in one forward call; (output (B, 1), tape).
+    Raises NumericError on a non-finite output, which is also where a
+    non-finite shared-head output shows."""
+    out, tape = forward(model.heads, h, mode, rng)
+    if not np.isfinite(out).all():
+        raise NumericError("non-finite values in the heads' output")
+    return out, tape
 
 
 def forward_fused(model: ModelParams, feats: dict, alpha: np.ndarray,
@@ -163,7 +180,7 @@ def forward_fused(model: ModelParams, feats: dict, alpha: np.ndarray,
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     b = alpha.shape[0]
-    rows = weighted_rows(alpha)
+    rows, weights = weighted_rows(alpha)
     reps, enc_tapes = {}, {}
     for m in MODALITIES:
         feat = np.asarray(feats[m], dtype=np.float64)
@@ -171,9 +188,8 @@ def forward_fused(model: ModelParams, feats: dict, alpha: np.ndarray,
             raise ShapeError(f"features of {m!r} have {len(feat)} rows, weights {b}")
         reps[m], enc_tapes[m] = forward(model.encoders[m], feat.take(rows[m], axis=0),
                                         mode, rng, rows=(b, rows[m]))
-    s, shared_tape = forward(model.shared_head, fuse_batch(reps, alpha, rows), mode, rng)
-    out, pred_tape = forward(model.prediction_head, s, mode, rng)
-    return out[:, 0], FusedTape(enc_tapes, shared_tape, pred_tape, alpha, rows)
+    out, head_tape = _run_heads(model, fuse_batch(reps, weights, rows, b), mode, rng)
+    return out[:, 0], FusedTape(enc_tapes, head_tape, rows, weights)
 
 
 def backward_fused(model: ModelParams, tape: FusedTape, dpreds: np.ndarray,
@@ -192,16 +208,12 @@ def backward_fused(model: ModelParams, tape: FusedTape, dpreds: np.ndarray,
         grad = np.empty_like(model.theta)
         out = grad, model.layer_views(grad)
     grad, views = out
-    g_pred = backward(model.prediction_head, tape.pred_tape, dpreds[:, None],
-                      out=views["prediction_head"])
-    g_shared = backward(model.shared_head, tape.shared_tape, g_pred.input_grad,
-                        out=views["shared_head"])
-    dh = g_shared.input_grad  # (B, fusion_dim)
-    for mi, m in enumerate(MODALITIES):
-        idx = tape.rows[m]
-        d_rep = tape.alpha[idx, mi:mi + 1] * dh.take(idx, axis=0)
+    dh = backward(model.heads, tape.head_tape, dpreds[:, None],
+                  out=views["shared_head"] + views["prediction_head"]).input_grad
+    for m in MODALITIES:
+        d_rep = tape.weights[m] * dh.take(tape.rows[m], axis=0)
         backward(model.encoders[m], tape.encoder_tapes[m], d_rep,
-                 out=views[f"encoder.{m}"])
+                 out=views[f"encoder.{m}"], input_grad=False)
     return grad
 
 
@@ -221,8 +233,7 @@ def probe_predictions(model: ModelParams, feats: dict, mask: np.ndarray,
         rows = np.asarray(feats[m], dtype=np.float64)[mask[:, mi]]
         rep, _ = forward(model.encoders[m], np.tile(rows, (T, 1)), TRAIN, rng)
         reps.append(rep)
-    s, _ = forward(model.shared_head, np.concatenate(reps), TRAIN, rng)
-    out, _ = forward(model.prediction_head, s, TRAIN, rng)
+    out, _ = _run_heads(model, np.concatenate(reps), TRAIN, rng)
     counts = mask.sum(axis=0)
     parts = np.split(out[:, 0], T * np.cumsum(counts)[:-1])
     return {m: part.reshape(T, n) for m, part, n in zip(MODALITIES, parts, counts)}

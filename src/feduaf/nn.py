@@ -133,7 +133,8 @@ def forward(mlp: Mlp, x: np.ndarray, mode: str = EVAL, rng: Rng | None = None,
     """
     if mode not in (TRAIN, EVAL):
         raise ConfigError(f"mode must be '{TRAIN}' or '{EVAL}', got {mode!r}")
-    a = _as_batch(x, mlp.in_dim, "input")
+    layers = mlp.layers
+    a = _as_batch(x, layers[0].weights.shape[1], "input")
     if not np.isfinite(a).all():
         raise NumericError("non-finite values in forward input")
     if rows is not None and len(rows[1]) != a.shape[0]:
@@ -143,23 +144,23 @@ def forward(mlp: Mlp, x: np.ndarray, mode: str = EVAL, rng: Rng | None = None,
     if use_dropout and rng is None:
         raise ConfigError("train-mode forward with dropout requires an rng")
     keep = 1.0 - mlp.dropout_rate if use_dropout else 1.0
-    tape = Tape(mlp_id=id(mlp), mode=mode, keep=keep)
-    for layer in mlp.layers:
+    inputs, gates = [], []
+    for layer in layers:
+        inputs.append(a)
         z = a @ layer.weights.T
         z += layer.bias
-        tape.inputs.append(a)
         if layer.activation == RELU:
             gate = z > 0.0
             if use_dropout:
-                gate &= (rng.random((n, z.shape[1])) < keep)[idx]
-            a = z * gate
+                gate &= rng.keep_mask((n, z.shape[1]), keep)[idx]
+            np.multiply(z, gate, out=z)
             if use_dropout:
-                a /= keep
-            tape.gates.append(gate)
+                z /= keep
+            gates.append(gate)
         else:
-            a = z
-            tape.gates.append(None)
-    return a, tape
+            gates.append(None)
+        a = z
+    return a, Tape(id(mlp), mode, inputs, gates, keep)
 
 
 @dataclass
@@ -168,15 +169,17 @@ class MlpGradients:
     input_grad: np.ndarray
 
 
-def backward(mlp: Mlp, tape: Tape, loss_grad: np.ndarray, out=None) -> MlpGradients:
+def backward(mlp: Mlp, tape: Tape, loss_grad: np.ndarray, out=None,
+             input_grad: bool = True) -> MlpGradients:
     """Backprop the loss gradient through a taped forward pass.
 
     The relu/dropout gates recorded on the tape are respected: inactive and
     dropped units pass no gradient. Returns per-parameter gradients plus the
-    gradient w.r.t. the forward input (used to chain encoders through
-    fusion). `out`, if given,
-    holds one (d_weights, d_bias) pair of arrays per layer to write the
-    gradients into; otherwise they are allocated.
+    gradient w.r.t. the forward input (used to chain the heads into the
+    encoders through fusion); with `input_grad=False` that last product is
+    skipped and `input_grad` is None. `out`, if given, holds one
+    (d_weights, d_bias) pair of arrays per layer to write the gradients
+    into; otherwise they are allocated.
     """
     if tape.mlp_id != id(mlp):
         raise StateError("tape was produced by a different network")
@@ -200,7 +203,7 @@ def backward(mlp: Mlp, tape: Tape, loss_grad: np.ndarray, out=None) -> MlpGradie
         dw, db = out[i]
         np.matmul(gz.T, tape.inputs[i], out=dw)
         gz.sum(axis=0, out=db)
-        g = gz @ layer.weights
+        g = gz @ layer.weights if i or input_grad else None
     return MlpGradients(layers=list(out), input_grad=g)
 
 

@@ -9,7 +9,9 @@ are statistically independent regardless of scheduling order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 
 import numpy as np
 
@@ -25,6 +27,14 @@ def _key_to_int(part) -> int:
         digest = hashlib.blake2s(part.encode("utf-8"), digest_size=8).digest()
         return int.from_bytes(digest, "big")
     raise ConfigError(f"rng key parts must be int or str, got {type(part).__name__}")
+
+
+@functools.lru_cache(maxsize=16)
+def _last_kept_word(keep: float) -> np.uint64:
+    """Raw words up to this one are kept. `random` maps a word w to
+    (w >> 11) * 2**-53, and for an integer k, k * 2**-53 < keep exactly when
+    k < ceil(keep * 2**53). At keep 1.0 every word is kept."""
+    return np.uint64((math.ceil(keep * 2**53) << 11) - 1)
 
 
 class Rng:
@@ -45,6 +55,12 @@ class Rng:
     # Thin pass-throughs for the draws the simulator actually uses.
     def random(self, size=None):
         return self.gen.random(size)
+
+    def keep_mask(self, shape, keep: float) -> np.ndarray:
+        """The bool mask `random(shape) < keep`, made from the same raw
+        words without converting them to floats; the stream ends in the
+        same state."""
+        return self.gen.bit_generator.random_raw(shape) <= _last_kept_word(keep)
 
     def uniform(self, low, high, size=None):
         return self.gen.uniform(low, high, size)

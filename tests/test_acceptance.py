@@ -132,8 +132,7 @@ def _relu_kink_margin(model, tape):
 
     margin = np.inf
     comps = [(model.encoders[m], tape.encoder_tapes[m]) for m in MODALITIES]
-    comps += [(model.shared_head, tape.shared_tape),
-              (model.prediction_head, tape.pred_tape)]
+    comps.append((model.heads, tape.head_tape))
     for mlp, t in comps:
         for layer, a in zip(mlp.layers, t.inputs):
             if layer.activation == RELU:

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import warnings
 
 import pytest
 
@@ -167,11 +168,15 @@ class TestCli:
 
     def test_diverging_client_exits_2_and_is_named(self, tmp_path, capsys):
         # a huge step overflows the first client's weights after one step;
-        # the next forward sees non-finite values
+        # the next forward sees non-finite values. The exit-2 message is
+        # the only output: numpy's overflow warnings are not shown
         cfg = dict(SMALL_RUN, output_dir=str(tmp_path / "out"),
                    training=dict(SMALL_RUN["training"], lr=1e300))
         path = write_json(tmp_path / "config.json", cfg)
-        assert main(["run", "--config", path]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", path]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert err.startswith("runtime error: round 1: ")
         assert "client 'spk000' diverged: " in err

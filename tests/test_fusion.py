@@ -116,11 +116,11 @@ def fuse_one(reps: dict, alpha: dict) -> list:
     """fuse_batch on one row; reps[m] is given for the weighted modalities
     and is a zero-row block for the others."""
     batch = np.array([[alpha.get(m, 0.0) for m in MODALITIES]])
-    rows = weighted_rows(batch)
+    rows, weights = weighted_rows(batch)
     width = len(next(iter(reps.values())))
     gathered = {m: np.array([reps[m]]) if len(rows[m]) else np.zeros((0, width))
                 for m in MODALITIES}
-    return fuse_batch(gathered, batch, rows)[0].tolist()
+    return fuse_batch(gathered, weights, rows, 1)[0].tolist()
 
 
 class TestFuse:

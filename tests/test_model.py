@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import feduaf.model
-from feduaf.exceptions import ShapeError
+from feduaf.exceptions import ConfigError, NumericError, ShapeError
 from feduaf.fusion import MODALITIES
 from feduaf.model import (
     ModelParams,
@@ -70,7 +70,8 @@ class TestForwardFused:
         feats, alpha, _ = random_batch()
         preds, tape = forward_fused(model, feats, alpha, EVAL)
         assert preds.shape == (4,)
-        assert tape.alpha.shape == (4, 3)
+        for mi, m in enumerate(MODALITIES):
+            assert np.array_equal(tape.weights[m], alpha[:, mi:mi + 1])
 
     def test_zero_weight_modality_does_not_contribute(self):
         model = tiny_model()
@@ -156,14 +157,13 @@ class TestBackwardFused:
                     else:
                         a = z
                 out[rows] += alpha[rows, mi:mi + 1] * a
-            for mlp, t in ((model.shared_head, tape.shared_tape),
-                           (model.prediction_head, tape.pred_tape)):
-                for li, layer in enumerate(mlp.layers):
-                    z = out @ layer.weights.T + layer.bias
-                    if layer.activation == "relu":
-                        out = np.where((z > 0) & t.gates[li], z / t.keep, 0.0)
-                    else:
-                        out = z
+            t = tape.head_tape
+            for li, layer in enumerate(model.heads.layers):
+                z = out @ layer.weights.T + layer.bias
+                if layer.activation == "relu":
+                    out = np.where((z > 0) & t.gates[li], z / t.keep, 0.0)
+                else:
+                    out = z
             return mse_loss_batch(out[:, 0], labels)[0]
 
         numeric = finite_difference_grads(loss_fn, [model.theta])
@@ -241,6 +241,23 @@ class TestSharedBlock:
             assert layer.weights.tolist() == weights[m]
         assert [n for n, _, _ in model.layout][:2] == [
             "encoder.v.layers.0.weight", "encoder.v.layers.0.bias"]
+
+    def test_nonfinite_head_output_raises(self):
+        # a non-finite value inside the heads, which run as one network,
+        # still raises, in the fused pass and in the probes
+        model = tiny_model(dropout=0.2)
+        model.shared_head.layers[0].bias[:] = np.inf
+        feats, alpha, _ = random_batch()
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            forward_fused(model, feats, alpha, EVAL)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            probe_predictions(model, feats, np.ones((4, 3), dtype=bool), 3, Rng(1))
+
+    def test_relu_prediction_head_needs_the_shared_dropout(self):
+        model = tiny_model(dropout=0.2)
+        with pytest.raises(ConfigError):
+            ModelParams(model.encoders, model.shared_head,
+                        Mlp([DenseLayer(np.ones((1, 6)), np.zeros(1), RELU)]))
 
     def test_invariant_validation(self):
         model = tiny_model()
@@ -334,8 +351,8 @@ class TestWeightedRows:
             weighted = int(np.count_nonzero(alpha[:, mi]))
             rows = [n for mlp, n in calls if mlp is model.encoders[m]]
             assert rows == [weighted, passes * weighted]
-        for head in (model.shared_head, model.prediction_head):
-            assert [n for mlp, n in calls if mlp is head] == [8, passes * 8]
+        assert [n for mlp, n in calls if mlp is model.heads] == [8, passes * 8]
+        assert len(calls) == 8
 
     @pytest.mark.parametrize("seed", range(3))
     def test_unweighted_encoder_gets_exact_zero_gradient(self, seed):

@@ -156,6 +156,17 @@ class TestBackward:
         numeric = finite_difference_grads(loss_fn, layer_arrays(mlp))
         assert_grads_close(analytic, numeric)
 
+    def test_skipped_input_grad_keeps_parameter_grads(self):
+        mlp = init_mlp([4, 6, 3], Rng(3), dropout_rate=0.2)
+        x = Rng(4).normal(size=(5, 4))
+        g = Rng(5).normal(size=(5, 3))
+        _, tape = forward(mlp, x, TRAIN, Rng(6))
+        full = backward(mlp, tape, g)
+        lean = backward(mlp, tape, g, input_grad=False)
+        assert lean.input_grad is None
+        for (dw, db), (dw_full, db_full) in zip(lean.layers, full.layers):
+            assert np.array_equal(dw, dw_full) and np.array_equal(db, db_full)
+
     def test_dropped_units_get_zero_gradient(self):
         mlp = init_mlp([3, 8, 1], Rng(0), dropout_rate=0.5)
         x = Rng(1).normal(size=(1, 3))

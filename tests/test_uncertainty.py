@@ -205,9 +205,8 @@ class TestProbeUncertainties:
         for mi, m in enumerate(MODALITIES):
             rows = [n for mlp, n in calls if mlp is model.encoders[m]]
             assert rows == [passes * int(mask[:, mi].sum())]
-        for head in (model.shared_head, model.prediction_head):
-            assert [n for mlp, n in calls if mlp is head] == [passes * pairs]
-        assert len(calls) == 5
+        assert [n for mlp, n in calls if mlp is model.heads] == [passes * pairs]
+        assert len(calls) == 4
 
 
 class TestModalityUncertainties:
