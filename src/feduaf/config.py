@@ -213,16 +213,29 @@ def open_input(path, what: str, mode: str = "rb", **kwargs):
         raise ConfigError(f"{what} path is a directory: {path}")
 
 
+def unique_keys(pairs: list) -> dict:
+    """json `object_pairs_hook` of every JSON input: a repeated key raises
+    ParseError naming it, where json alone would keep its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ParseError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def read_json(path, what: str):
     """Parse a UTF-8 JSON file opened by `open_input`; an undecodable or
-    malformed one raises ParseError naming the file."""
+    malformed one, or one with a repeated key, raises ParseError naming the
+    file."""
     try:
         with open_input(path, what, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})")
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: malformed JSON ({exc.msg}, line {exc.lineno})")
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def parse_config(path) -> ExperimentConfig:

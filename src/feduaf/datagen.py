@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import FederationSpec, is_finite_list, is_finite_number, open_input
+from .config import (FederationSpec, is_finite_list, is_finite_number, open_input,
+                     unique_keys)
 from .exceptions import ConfigError, ParseError, ValidationError
 from .fusion import MODALITIES
 from .rng import Rng
@@ -201,9 +202,11 @@ def save_jsonl(path, clients: list):
 
 def _parse_line(line: str, lineno: int, dims_seen: dict) -> tuple:
     try:
-        rec = json.loads(line)
+        rec = json.loads(line, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
+    except ParseError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
     if not isinstance(rec, dict):
         raise ValidationError(f"line {lineno}: expected a JSON object")
     unknown = set(rec) - _SAMPLE_KEYS

@@ -1,11 +1,12 @@
 """Round-synchronous federated protocol engine.
 
-Each round the server broadcasts the shared representation parameters,
-selected clients train locally with uncertainty-guided fusion, upload the
-(possibly perturbed) shared block plus a scalar reliability score, and the
-server aggregates under the configured strategy. Client work is independent
-given its derived rng stream, so parallel and serial execution are
-bit-identical; aggregation always sums in sorted client order.
+Each round selected clients train locally with uncertainty-guided fusion
+from the shared representation block the server last broadcast, upload the
+(possibly perturbed) block plus a scalar reliability score, and the server
+aggregates under the configured strategy, broadcasts the result to every
+client and evaluates. Client work is independent given its derived rng
+stream, so parallel and serial execution are bit-identical; aggregation
+always sums in sorted client order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .model import (
     extract_shared,
     forward_fused,
     init_model_params,
-    predict_eval,
 )
 from .nn import TRAIN, AdamState, adam_step, mse_loss_batch
 from .rng import Rng
@@ -67,22 +67,12 @@ class LocalStats:
 
 @dataclass
 class RoundReport:
-    round_index: int
+    round: int
     train_loss: dict  # client_id -> mean batch loss
     test_mae: float
     mean_reliability: float
     weights: dict  # client_id -> aggregation weight
     reliabilities: dict  # client_id -> r_k
-
-    def to_dict(self) -> dict:
-        return {
-            "round": self.round_index,
-            "train_loss": self.train_loss,
-            "test_mae": self.test_mae,
-            "mean_reliability": self.mean_reliability,
-            "weights": self.weights,
-            "reliabilities": self.reliabilities,
-        }
 
 
 @dataclass
@@ -205,12 +195,12 @@ def client_mean_uncertainty(model: ModelParams, feats: dict, mask, config, rng: 
     return float(u.mean())
 
 
-def local_update(client: ClientRuntime, theta_s: list, config,
-                 round_index: int, rng: Rng):
-    """One client's round: local epochs, optional noisy perturbation of the
-    shared block, reliability from post-perturbation uncertainty, upload.
-    `run_round` reports a NumericError raised here as this client diverging
-    in round `round_index`.
+def local_update(client: ClientRuntime, config, round_index: int, rng: Rng):
+    """One client's round: local epochs from the model as it stands (the
+    broadcast has already put the global block in it), optional noisy
+    perturbation of the shared block, reliability from post-perturbation
+    uncertainty, upload. `run_round` reports a NumericError raised here as
+    this client diverging in round `round_index`.
 
     Returns (ClientUpdate, LocalStats).
     """
@@ -219,7 +209,6 @@ def local_update(client: ClientRuntime, theta_s: list, config,
     if not train.samples:
         raise ConfigError(f"client {cid!r} has an empty training set")
     share_enc = config.share_encoders
-    assign_shared(client.model, theta_s, share_enc)
     theta = client.model.theta
     adam = AdamState.init_for([theta], lr=config.training.lr)
     grad = np.empty_like(theta)  # every slot is rewritten by each backward
@@ -254,47 +243,42 @@ def local_update(client: ClientRuntime, theta_s: list, config,
                 grad[shared] += fedprox_penalty(theta[shared], theta_global, prox_mu)[1]
             adam_step([theta], [grad], adam)
             losses.append(loss)
+    upload = extract_shared(client.model, share_enc)
     if client.data.is_noisy and config.noise_gamma > 0.0:
-        perturbed = perturb_update(
-            extract_shared(client.model, share_enc), config.noise_gamma, rng)
-        assign_shared(client.model, perturbed, share_enc)
+        upload = perturb_update(upload, config.noise_gamma, rng)
+        assign_shared(client.model, upload, share_enc)
     # reliability reflects the model as uploaded (perturbation included)
     u_bar = client_mean_uncertainty(client.model, feats_all, mask_all, config, rng)
     reliability = 1.0 / (u_bar + config.reliability.epsilon)
-    update = ClientUpdate(cid, extract_shared(client.model, share_enc),
-                          reliability, n)
+    update = ClientUpdate(cid, upload, reliability, n)
     mean_loss = float(np.mean(losses)) if losses else 0.0
     return update, LocalStats(losses, mean_loss, u_bar)
 
 
 # -------------------------------------------------------------- evaluation
 
-def evaluate_mae(clients: list, config, rng: Rng, collect: list | None = None,
-                 n_threads: int = 1) -> float:
-    """Average over clients of the mean absolute error on their test split.
+def evaluate_mae(clients: list, config, rng: Rng, collect: list | None = None) -> float:
+    """Average over clients of the mean absolute error on their test split,
+    one client after another.
 
     Predictions are deterministic eval-mode forwards; fusion weights still
     come from stochastic probe passes when uncertainty fusion is on, each
-    client on its own derived stream, so up to `n_threads` clients run at
-    once with the same result. Pass `collect` to receive per-sample
-    (prediction, label) records, in client order.
+    client on its own stream `rng.derive(client_id)`. Pass `collect` to
+    receive per-sample (prediction, label) records, in client order.
     """
-    def client_eval(client):
-        test = client.data.test
-        if not test.samples:
-            raise ConfigError(f"client {client.data.client_id!r} has an empty test set")
-        feats, mask, labels = batch_from_samples(
-            test.samples, client.model.feature_dims())
-        alpha = _batch_fusion_weights(
-            client.model, feats, mask, config, rng.derive(client.data.client_id))
-        return predict_eval(client.model, feats, alpha), labels
-
     client_maes = []
-    for client, (preds, labels) in zip(clients, _map(client_eval, clients, n_threads)):
+    for client in clients:
+        cid = client.data.client_id
+        if not client.data.test.samples:
+            raise ConfigError(f"client {cid!r} has an empty test set")
+        feats, mask, labels = batch_from_samples(
+            client.data.test.samples, client.model.feature_dims())
+        alpha = _batch_fusion_weights(client.model, feats, mask, config, rng.derive(cid))
+        preds = forward_fused(client.model, feats, alpha)[0]
         client_maes.append(float(np.mean(np.abs(preds - labels))))
         if collect is not None:
             collect.append({
-                "client_id": client.data.client_id,
+                "client_id": cid,
                 "predictions": [float(p) for p in preds],
                 "labels": [float(y) for y in labels],
             })
@@ -326,11 +310,11 @@ def _select_clients(state: FederationState, config, round_index: int,
 
 def run_round(state: FederationState, config, run_rng: Rng,
               n_threads: int = 1) -> RoundReport:
-    """Broadcast, train selected clients (optionally in threads), aggregate,
-    evaluate. Appends the report to the state and returns it."""
+    """Train selected clients (optionally in threads), aggregate, broadcast
+    the new global block to every client, evaluate. Appends the report to
+    the state and returns it."""
     r = state.round_index + 1
     selected = _select_clients(state, config, r, run_rng)
-    theta = state.shared
 
     def work(i):
         client = state.clients[i]
@@ -340,7 +324,7 @@ def run_round(state: FederationState, config, run_rng: Rng,
             # a diverging client ends in the NumericError below, not in
             # numpy's warnings; errstate is per thread, so it is set here
             with np.errstate(over="ignore", invalid="ignore"):
-                return local_update(client, theta, config, r, rng_i)
+                return local_update(client, config, r, rng_i)
         except NumericError as exc:
             raise NumericError(f"round {r}: client {cid!r} diverged: {exc}") from exc
 
@@ -353,10 +337,9 @@ def run_round(state: FederationState, config, run_rng: Rng,
     state.shared = aggregate(ordered, strategy)
     for client in state.clients:
         assign_shared(client.model, state.shared, config.share_encoders)
-    mae = evaluate_mae(state.clients, config, run_rng.derive("eval", r),
-                       n_threads=n_threads)
+    mae = evaluate_mae(state.clients, config, run_rng.derive("eval", r))
     report = RoundReport(
-        round_index=r,
+        round=r,
         train_loss={u.client_id: stats[u.client_id].mean_loss for u in ordered},
         test_mae=mae,
         mean_reliability=float(np.mean([u.reliability for u in ordered])),
@@ -400,6 +383,8 @@ def _data_feature_dims(clients: list, default_dim: int) -> dict:
 
 
 def init_federation(config, seed: int) -> FederationState:
+    """Build every client's data and model, and broadcast the server's
+    initial shared block to every client."""
     data = build_federation_data(config, seed)
     data = sorted(data, key=lambda c: c.client_id)
     dims = _data_feature_dims(data, config.federation.feature_dim)
@@ -417,6 +402,8 @@ def init_federation(config, seed: int) -> FederationState:
         dims, config.model.hidden_dim, config.model.fusion_dim,
         config.model.dropout, init_rng.derive("init", "server"))
     shared = extract_shared(server_model, config.share_encoders)
+    for client in clients:
+        assign_shared(client.model, shared, config.share_encoders)
     return FederationState(clients=clients, shared=shared)
 
 
@@ -438,15 +425,12 @@ def run_simulation(config, seed: int, run_dir, n_threads: int | None = None) -> 
     os.makedirs(run_dir, exist_ok=True)
     state = init_federation(config, seed)
     run_rng = Rng(seed).derive("protocol")
-    for client in state.clients:
-        assign_shared(client.model, state.shared, config.share_encoders)
-    initial_mae = evaluate_mae(state.clients, config, run_rng.derive("eval", 0),
-                               n_threads=n_threads)
+    initial_mae = evaluate_mae(state.clients, config, run_rng.derive("eval", 0))
     rounds_path = os.path.join(run_dir, "rounds.jsonl")
     with open(rounds_path, "w", encoding="utf-8") as fh:
         for _ in range(config.training.rounds):
             report = run_round(state, config, run_rng, n_threads=n_threads)
-            fh.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(report), sort_keys=True) + "\n")
     save_params(os.path.join(run_dir, "shared_params.json"), state.shared)
     summary = {
         "config": config.to_dict(),

@@ -249,9 +249,3 @@ def fused_mc_predictions(model: ModelParams, feats: dict, alpha: np.ndarray,
     tiled_alpha = np.tile(alpha, (T, 1))
     preds, _ = forward_fused(model, tiled_feats, tiled_alpha, TRAIN, rng)
     return preds.reshape(T, b)
-
-
-def predict_eval(model: ModelParams, feats: dict, alpha: np.ndarray) -> np.ndarray:
-    """Deterministic eval-mode prediction under given fusion weights; (B,)."""
-    preds, _ = forward_fused(model, feats, alpha, EVAL, None)
-    return preds

@@ -187,9 +187,13 @@ def _read_sweep_rows(sweep_csv) -> list:
     try:
         with open_input(sweep_csv, "sweep csv", "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or set(CSV_COLUMNS) - set(reader.fieldnames):
-                missing = sorted(set(CSV_COLUMNS) - set(reader.fieldnames or []))
+            header = reader.fieldnames or []
+            missing = sorted(set(CSV_COLUMNS) - set(header))
+            if missing:
                 raise ValidationError(f"sweep csv missing columns: {missing}")
+            repeated = sorted({col for col in header if header.count(col) > 1})
+            if repeated:
+                raise ParseError(f"{sweep_csv}: repeated columns {repeated}")
             rows = list(reader)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{sweep_csv}: not UTF-8 text ({exc.reason})")

@@ -4,13 +4,14 @@ import csv
 import json
 import os
 import warnings
+from pathlib import Path
 
 import pytest
 
 from feduaf.cli import main
 from feduaf.config import config_from_dict
 from feduaf.datagen import load_jsonl
-from feduaf.exceptions import ConfigError, ValidationError
+from feduaf.exceptions import ConfigError, ParseError, ValidationError
 from feduaf.sweep import emit_plotdata, parse_grid, run_sweep
 
 SMALL_RUN = {
@@ -91,7 +92,7 @@ class TestCli:
         spec = write_json(tmp_path / "spec.json", GEN_DATA_SPEC)
         out = tmp_path / "data.jsonl"
         assert main(["gen-data", "--spec", spec, "--out", str(out)]) == 0
-        assert out.read_bytes() == open(GEN_DATA_REFERENCE, "rb").read()
+        assert out.read_bytes() == Path(GEN_DATA_REFERENCE).read_bytes()
 
     def test_run_writes_outputs_and_exits_0(self, tmp_path, capsys):
         cfg = dict(SMALL_RUN, output_dir=str(tmp_path / "out"))
@@ -125,6 +126,16 @@ class TestCli:
                      ["sweep", "--config", path, "--grid", str(tmp_path)]):
             assert main(argv) == 1
             assert_names_directory(capsys.readouterr().err, tmp_path)
+
+    def test_repeated_config_key_exits_1(self, tmp_path, capsys):
+        # json alone keeps the last value, and the run would take 2 rounds
+        path = tmp_path / "config.json"
+        path.write_text('{"training": {"rounds": 1, "rounds": 2}, "output_dir": %s}'
+                        % json.dumps(str(tmp_path / "out")))
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{path}: repeated key 'rounds'" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "", "1_0", " 2 ", "+2", "\u0663"])
     def test_bad_thread_env_exits_1(self, tmp_path, capsys, monkeypatch, value):
@@ -292,7 +303,7 @@ class TestSweep:
         for sub in ("s1", "s2"):
             cfg = config_from_dict(dict(SMALL_RUN, output_dir=str(tmp_path / sub)))
             result = run_sweep(cfg, grid, cfg.output_dir)
-            payloads.append(open(result.csv_path, "rb").read())
+            payloads.append(Path(result.csv_path).read_bytes())
         assert payloads[0] == payloads[1]
 
     def test_parallel_workers_match_serial(self, tmp_path):
@@ -301,7 +312,7 @@ class TestSweep:
         for sub, workers in (("serial", 1), ("parallel", 2)):
             cfg = config_from_dict(dict(SMALL_RUN, output_dir=str(tmp_path / sub)))
             result = run_sweep(cfg, grid, cfg.output_dir, n_workers=workers)
-            payloads.append(open(result.csv_path, "rb").read())
+            payloads.append(Path(result.csv_path).read_bytes())
         assert payloads[0] == payloads[1]
 
     def test_mean_equals_mean_of_seed_values(self, tmp_path):
@@ -418,6 +429,18 @@ class TestPlotData:
             emit_plotdata(path, tmp_path / "figs")
         assert main(["plotdata", "--in", str(path), "--out", str(tmp_path / "figs")]) == 1
         assert f"'{column}'" in capsys.readouterr().err
+
+    def test_repeated_column_rejected(self, tmp_path, capsys):
+        # csv.DictReader alone would keep the last of the two rho_m cells
+        columns = ["dataset_tag", "rho_m", "noniid", "noisy_ratio", "strategy", "ua_fusion",
+                   "rel_agg", "seed_count", "mae_mean", "mae_std", "rho_m"]
+        row = ["synthetic", "0.1", "0.0", "0.0", "uniform", "1", "1", "1", "0.5", "0.0", "0.2"]
+        path = tmp_path / "sweep.csv"
+        path.write_text(",".join(columns) + "\n" + ",".join(row) + "\n")
+        with pytest.raises(ParseError, match=r"repeated columns \['rho_m'\]"):
+            emit_plotdata(path, tmp_path / "figs")
+        assert main(["plotdata", "--in", str(path), "--out", str(tmp_path / "figs")]) == 1
+        assert "rho_m" in capsys.readouterr().err
 
     def test_missing_columns_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -250,6 +250,14 @@ class TestJsonl:
         with pytest.raises(ParseError, match="line 2"):
             load_jsonl(path)
 
+    def test_repeated_key_names_line(self, tmp_path):
+        # json alone keeps the last label, 1.0, and never sees the bad 5.0
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"client_id": "c", "features": {"v": [1.0]}, '
+                        '"mask": {"v": 1, "a": 0, "t": 0}, "label": 5.0, "label": 1.0}\n')
+        with pytest.raises(ParseError, match="line 1: repeated key 'label'"):
+            load_jsonl(path)
+
     def test_mask_features_inconsistency_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"client_id": "c", "features": {}, '

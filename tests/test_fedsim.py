@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -202,7 +203,7 @@ class TestLocalUpdate:
     def test_zero_epochs_uploads_broadcast_bit_exact(self):
         state, cfg = self.build_state(training={"local_epochs": 0})
         client = state.clients[0]
-        update, stats = local_update(client, state.shared, cfg, 1, Rng(9))
+        update, stats = local_update(client, cfg, 1, Rng(9))
         broadcast = dict(state.shared)
         assert len(update.shared_params) == len(broadcast)
         for name, arr in update.shared_params:
@@ -212,13 +213,13 @@ class TestLocalUpdate:
 
     def test_upload_contains_only_shared_head(self):
         state, cfg = self.build_state()
-        update, _ = local_update(state.clients[0], state.shared, cfg, 1, Rng(9))
+        update, _ = local_update(state.clients[0], cfg, 1, Rng(9))
         assert all(n.startswith("shared_head.") for n, _ in update.shared_params)
 
     def test_reliability_formula(self):
         # r = 1 / (u_bar + eps)
         state, cfg = self.build_state()
-        update, stats = local_update(state.clients[0], state.shared, cfg, 1, Rng(9))
+        update, stats = local_update(state.clients[0], cfg, 1, Rng(9))
         expected = 1.0 / (stats.mean_uncertainty + cfg.reliability.epsilon)
         assert update.reliability == pytest.approx(expected, rel=1e-6)
         if stats.mean_uncertainty == pytest.approx(0.25):
@@ -226,7 +227,7 @@ class TestLocalUpdate:
 
     def test_training_reduces_loss_on_average(self):
         state, cfg = self.build_state(training={"local_epochs": 60, "lr": 0.01})
-        _, stats = local_update(state.clients[0], state.shared, cfg, 1, Rng(9))
+        _, stats = local_update(state.clients[0], cfg, 1, Rng(9))
         k = len(stats.batch_losses) // 4
         assert np.mean(stats.batch_losses[-k:]) < np.mean(stats.batch_losses[:k])
 
@@ -247,8 +248,7 @@ class TestLocalUpdate:
         client = ClientRuntime(data=data, model=model)
         cfg = smoke_config(training={"local_epochs": 300, "batch_size": 1},
                            model={"dropout": 0.0})
-        theta = extract_shared(model)
-        _, stats = local_update(client, theta, cfg, 1, Rng(0))
+        _, stats = local_update(client, cfg, 1, Rng(0))
         losses = stats.batch_losses
         warmup = 20
         assert all(b <= a + 1e-12 for a, b in zip(losses[warmup:], losses[warmup + 1:]))
@@ -257,11 +257,11 @@ class TestLocalUpdate:
     def test_noisy_client_perturbs_upload(self):
         state, cfg = self.build_state(noise_gamma=1.0)
         client = state.clients[0]
-        clean_update, _ = local_update(client, state.shared, cfg, 1, Rng(9))
+        clean_update, _ = local_update(client, cfg, 1, Rng(9))
         state2, _ = self.build_state(noise_gamma=1.0)
         client2 = state2.clients[0]
         client2.data.is_noisy = True
-        noisy_update, _ = local_update(client2, state2.shared, cfg, 1, Rng(9))
+        noisy_update, _ = local_update(client2, cfg, 1, Rng(9))
         diffs = [not np.array_equal(a[1], b[1])
                  for a, b in zip(clean_update.shared_params, noisy_update.shared_params)]
         assert any(diffs)
@@ -271,7 +271,7 @@ class TestLocalUpdate:
         client = state.clients[0]
         client.data.train.samples.clear()
         with pytest.raises(ConfigError):
-            local_update(client, state.shared, cfg, 1, Rng(9))
+            local_update(client, cfg, 1, Rng(9))
 
 
 class TestEvaluateMae:
@@ -321,21 +321,6 @@ class TestEvaluateMae:
 
 
 class TestClientPool:
-    def test_threaded_eval_matches_serial_bit_for_bit(self):
-        cfg = smoke_config(ablation={"ua_fusion": True},
-                           federation={"missing_ratio": 0.5})
-        state = init_federation(cfg, 6)
-        runs = []
-        for n_threads in (1, 2):
-            dump = []
-            mae = evaluate_mae(state.clients, cfg, Rng(6).derive("eval"),
-                               collect=dump, n_threads=n_threads)
-            runs.append((mae, dump))
-        assert runs[0][0] == runs[1][0]
-        assert runs[0][1] == runs[1][1]
-        assert [rec["client_id"] for rec in runs[1][1]] == [
-            c.data.client_id for c in state.clients]
-
     def test_never_more_threads_than_work_items(self, monkeypatch):
         sizes = []
 
@@ -357,11 +342,10 @@ class TestClientPool:
         monkeypatch.setattr("feduaf.fedsim.ThreadPoolExecutor", FakePool)
         cfg = smoke_config(training={"participation": 0.5})
         state = init_federation(cfg, 4)
-        evaluate_mae(state.clients, cfg, Rng(0), n_threads=64)
-        evaluate_mae(state.clients[:1], cfg, Rng(0), n_threads=64)
         run_round(state, cfg, Rng(4).derive("protocol"), n_threads=64)
-        # eval of 4 clients, no pool for 1 client, 2 selected, 4 evaluated
-        assert sizes == [4, 2, 4]
+        # only the client phase opens a pool: 2 of 4 clients selected, and
+        # evaluation of all 4 runs serially
+        assert sizes == [2]
 
 
 def _openblas_threads(extra_env: dict) -> int:
@@ -403,6 +387,16 @@ class TestBlasPin:
 
 
 class TestRounds:
+    @pytest.mark.parametrize("share_encoders", [False, True])
+    def test_init_broadcasts_shared_block_bit_exact(self, share_encoders):
+        cfg = smoke_config(share_encoders=share_encoders)
+        state = init_federation(cfg, 1)
+        for client in state.clients:
+            held = extract_shared(client.model, share_encoders)
+            assert [n for n, _ in held] == [n for n, _ in state.shared]
+            for (_, a), (_, b) in zip(held, state.shared):
+                assert a.tobytes() == b.tobytes()
+
     def test_symmetric_setup_strategy_equivalence(self):
         # equal reliabilities and sizes: reliability weighting == uniform
         cfg = smoke_config(training={"local_epochs": 0})
@@ -421,7 +415,7 @@ class TestRounds:
         for _ in range(2):
             state = init_federation(cfg, 5)
             rng = Rng(5).derive("protocol")
-            reports.append([run_round(state, cfg, rng).to_dict() for _ in range(2)])
+            reports.append([asdict(run_round(state, cfg, rng)) for _ in range(2)])
         assert reports[0] == reports[1]
 
     def test_weights_sum_to_one(self):

@@ -14,7 +14,6 @@ from feduaf.model import (
     forward_fused,
     fused_mc_predictions,
     init_model_params,
-    predict_eval,
     probe_predictions,
 )
 from feduaf.nn import EVAL, IDENTITY, RELU, TRAIN, DenseLayer, Mlp, mse_loss_batch
@@ -77,16 +76,16 @@ class TestForwardFused:
         model = tiny_model()
         feats, _, _ = random_batch()
         alpha = np.array([[0.5, 0.5, 0.0]] * 4)
-        base = predict_eval(model, feats, alpha)
+        base = forward_fused(model, feats, alpha)[0]
         scrambled = dict(feats)
         scrambled["t"] = feats["t"] + 100.0
-        assert np.array_equal(base, predict_eval(model, scrambled, alpha))
+        assert np.array_equal(base, forward_fused(model, scrambled, alpha)[0])
 
     def test_single_modality_weight_one_matches_probe_path(self):
         model = tiny_model(dropout=0.0)
         feats, _, _ = random_batch()
         alpha = np.array([[0.0, 0.0, 1.0]] * 4)
-        fused = predict_eval(model, feats, alpha)
+        fused = forward_fused(model, feats, alpha)[0]
         probe = probe_predictions(model, feats, np.ones((4, 3), dtype=bool), 2, Rng(0))
         np.testing.assert_allclose(fused, probe["t"][0], rtol=1e-12)
 
@@ -289,7 +288,7 @@ class TestMcPaths:
         for mi, m in enumerate(MODALITIES):
             alpha = np.zeros((6, 3))
             alpha[:, mi] = 1.0
-            expected = predict_eval(model, feats, alpha)[mask[:, mi]]
+            expected = forward_fused(model, feats, alpha)[0][mask[:, mi]]
             assert probe[m].shape == (3, int(mask[:, mi].sum()))
             for row in probe[m]:
                 np.testing.assert_allclose(row, expected, rtol=1e-12)
@@ -323,8 +322,8 @@ class TestWeightedRows:
                   for mi, m in enumerate(MODALITIES)}
         garbage = {m: np.where(weighted[:, mi:mi + 1], feats[m], fill)
                    for (mi, m), fill in zip(enumerate(MODALITIES), (np.nan, 1e300, -np.inf))}
-        np.testing.assert_array_equal(predict_eval(model, garbage, alpha),
-                                      predict_eval(model, zeroed, alpha))
+        np.testing.assert_array_equal(forward_fused(model, garbage, alpha)[0],
+                                      forward_fused(model, zeroed, alpha)[0])
         np.testing.assert_array_equal(fused_mc_predictions(model, garbage, alpha, 3, Rng(4)),
                                       fused_mc_predictions(model, zeroed, alpha, 3, Rng(4)))
         grads = []
