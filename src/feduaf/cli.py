@@ -3,7 +3,8 @@
 Subcommands: gen-data (write a synthetic federation as JSONL), run (single
 training run), sweep (grid x seeds with CSV aggregation), plotdata (tidy
 per-figure CSVs from a sweep). Exit codes: 0 success, 1 config/validation
-error, 2 runtime/numeric error or a failure to write outputs.
+error, 2 runtime/numeric error, a failure to write outputs or a size that
+cannot be allocated.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def main(argv=None) -> int:
     except CONFIG_EXIT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FeduafError, OSError) as exc:
+    except (FeduafError, OSError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

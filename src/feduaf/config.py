@@ -224,9 +224,9 @@ def unique_keys(pairs: list) -> dict:
 
 
 def read_json(path, what: str):
-    """Parse a UTF-8 JSON file opened by `open_input`; an undecodable or
-    malformed one, or one with a repeated key, raises ParseError naming the
-    file."""
+    """Parse a UTF-8 JSON file opened by `open_input`; an undecodable,
+    malformed or too deeply nested one, or one with a repeated key, raises
+    ParseError naming the file."""
     try:
         with open_input(path, what, "r", encoding="utf-8") as fh:
             return json.load(fh, object_pairs_hook=unique_keys)
@@ -234,6 +234,8 @@ def read_json(path, what: str):
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})")
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: malformed JSON ({exc.msg}, line {exc.lineno})")
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
 

@@ -205,6 +205,8 @@ def _parse_line(line: str, lineno: int, dims_seen: dict) -> tuple:
         rec = json.loads(line, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
+    except RecursionError:
+        raise ParseError(f"line {lineno}: JSON nested too deeply") from None
     except ParseError as exc:
         raise ParseError(f"line {lineno}: {exc}") from None
     if not isinstance(rec, dict):

@@ -1,16 +1,18 @@
 """Multimodal model bundle and its fused forward/backward pipeline.
 
-A bundle holds one encoder per modality, a shared representation head (the
-only block the federation exchanges by default), and a client-specific
-scalar prediction head. Fusion weights enter the forward pass as constants
-(stop-gradient): the backward pass scales each modality's representation
-gradient by its weight and never differentiates through the weights
-themselves.
+A bundle holds one encoder per modality and the heads: one network whose
+layers are the shared representation head (the only block the federation
+exchanges by default) followed by the client-specific scalar prediction
+layer. Fusion weights enter the forward pass as constants (stop-gradient):
+the backward pass scales each modality's representation gradient by its
+weight and never differentiates through the weights themselves.
 
 All parameters of a bundle live in one float64 vector, `theta`, in canonical
 component order; every layer's weights and bias are views into it. The
-layout table names each tensor with its v1 checkpoint name and offset, and
-the exchanged block is one contiguous slice of `theta`.
+layout table names each tensor with its v1 checkpoint name
+(`shared_head.layers.i.*` for the heads' hidden layers,
+`prediction_head.layers.0.*` for their last) and offset, and the exchanged
+block is one contiguous slice of `theta`.
 """
 
 from __future__ import annotations
@@ -20,31 +22,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, NumericError, ShapeError
+from .exceptions import NumericError, ShapeError
 from .fusion import MODALITIES, fuse_batch, weighted_rows
-from .nn import EVAL, IDENTITY, RELU, TRAIN, Mlp, Tape, backward, forward, init_mlp
+from .nn import EVAL, TRAIN, Mlp, Tape, backward, forward, init_mlp
 from .rng import Rng
 
 
 @dataclass
 class ModelParams:
     encoders: dict  # modality -> Mlp
-    shared_head: Mlp
-    prediction_head: Mlp
+    heads: Mlp  # shared-head layers, then the scalar prediction layer
     theta: np.ndarray = field(init=False, repr=False, compare=False)
     layout: list = field(init=False, repr=False, compare=False)  # (name, offset, shape)
-    # the shared and prediction heads run as one network over their layers
-    heads: Mlp = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """Validate, then pack every layer into `theta` and make the layer
         arrays views into it."""
         self.validate()
-        self.heads = Mlp(self.shared_head.layers + self.prediction_head.layers,
-                         self.shared_head.dropout_rate)
-        layers = [(f"{name}.layers.{i}", layer)
-                  for name, mlp in self.components()
-                  for i, layer in enumerate(mlp.layers)]
+        *shared, pred = self.heads.layers
+        layers = [(f"encoder.{m}.layers.{i}", layer)
+                  for m in MODALITIES for i, layer in enumerate(self.encoders[m].layers)]
+        layers += [(f"shared_head.layers.{i}", layer) for i, layer in enumerate(shared)]
+        layers.append(("prediction_head.layers.0", pred))
         self.theta = np.concatenate(
             [a.ravel() for _, layer in layers for a in (layer.weights, layer.bias)],
             dtype=np.float64)
@@ -63,23 +62,18 @@ class ModelParams:
     def validate(self):
         if set(self.encoders) != set(MODALITIES):
             raise ShapeError(f"encoders must cover exactly {MODALITIES}")
-        fusion_dim = self.shared_head.in_dim
+        self.heads.validate()
+        if len(self.heads.layers) < 2:
+            raise ShapeError("the heads need a shared layer and a prediction layer")
+        if self.heads.out_dim != 1:
+            raise ShapeError("the heads must output a scalar")
+        fusion_dim = self.heads.in_dim
         for m, enc in self.encoders.items():
             enc.validate()
             if enc.out_dim != fusion_dim:
                 raise ShapeError(
                     f"encoder {m!r} output dim {enc.out_dim} != fusion dim {fusion_dim}"
                 )
-        self.shared_head.validate()
-        self.prediction_head.validate()
-        if self.shared_head.out_dim != self.prediction_head.in_dim:
-            raise ShapeError("shared head output does not feed prediction head")
-        if self.prediction_head.out_dim != 1:
-            raise ShapeError("prediction head must output a scalar")
-        if (self.prediction_head.dropout_rate != self.shared_head.dropout_rate
-                and any(layer.activation == RELU for layer in self.prediction_head.layers)):
-            raise ConfigError("a prediction head with relu layers must have the "
-                              "shared head's dropout rate")
 
     def layer_views(self, flat: np.ndarray) -> dict:
         """Component name -> per-layer (weights, bias) views into `flat`, a
@@ -91,22 +85,17 @@ class ModelParams:
 
     def components(self) -> list:
         """Canonical (name, Mlp) order of `theta` and of gradient vectors."""
-        out = [(f"encoder.{m}", self.encoders[m]) for m in MODALITIES]
-        out.append(("shared_head", self.shared_head))
-        out.append(("prediction_head", self.prediction_head))
-        return out
+        return [(f"encoder.{m}", self.encoders[m]) for m in MODALITIES] + [("heads", self.heads)]
 
     def feature_dims(self) -> dict:
         return {m: self.encoders[m].in_dim for m in MODALITIES}
 
     def shared_slice(self, share_encoders: bool = False) -> slice:
         """The exchanged block inside `theta`: the shared head, preceded by
-        the encoders when they are shared too."""
-        starts = {}
-        for name, off, _ in self.layout:
-            starts.setdefault(name.split(".layers.")[0], off)
-        return slice(0 if share_encoders else starts["shared_head"],
-                     starts["prediction_head"])
+        the encoders when they are shared too; it ends where the prediction
+        layer, the last two layout entries, begins."""
+        head_start = self.layout[-2 * len(self.heads.layers)][1]
+        return slice(0 if share_encoders else head_start, self.layout[-2][1])
 
     def shared_layout(self, share_encoders: bool = False) -> list:
         """Layout entries of the exchanged block, in upload order."""
@@ -118,15 +107,12 @@ def init_model_params(feature_dims: dict, hidden_dim: int, fusion_dim: int,
                       dropout_rate: float, rng: Rng) -> ModelParams:
     encoders = {
         m: init_mlp([feature_dims[m], hidden_dim, fusion_dim],
-                    rng.derive("encoder", m), dropout_rate,
-                    activations=[RELU, IDENTITY])
+                    rng.derive("encoder", m), dropout_rate)
         for m in MODALITIES
     }
-    shared = init_mlp([fusion_dim, hidden_dim], rng.derive("shared_head"),
-                      dropout_rate, activations=[RELU])
-    pred = init_mlp([hidden_dim, 1], rng.derive("prediction_head"), 0.0,
-                    activations=[IDENTITY])
-    return ModelParams(encoders, shared, pred)
+    shared = init_mlp([fusion_dim, hidden_dim], rng.derive("shared_head")).layers
+    pred = init_mlp([hidden_dim, 1], rng.derive("prediction_head")).layers
+    return ModelParams(encoders, Mlp(shared + pred, dropout_rate))
 
 
 def extract_shared(model: ModelParams, share_encoders: bool = False) -> list:
@@ -160,9 +146,9 @@ class FusedTape:
 
 
 def _run_heads(model: ModelParams, h: np.ndarray, mode: str, rng: Rng | None):
-    """Shared and prediction heads in one forward call; (output (B, 1), tape).
-    Raises NumericError on a non-finite output, which is also where a
-    non-finite shared-head output shows."""
+    """The heads' forward call; (output (B, 1), tape). Raises NumericError
+    on a non-finite output, which is also where a non-finite hidden output
+    shows."""
     out, tape = forward(model.heads, h, mode, rng)
     if not np.isfinite(out).all():
         raise NumericError("non-finite values in the heads' output")
@@ -209,7 +195,7 @@ def backward_fused(model: ModelParams, tape: FusedTape, dpreds: np.ndarray,
         out = grad, model.layer_views(grad)
     grad, views = out
     dh = backward(model.heads, tape.head_tape, dpreds[:, None],
-                  out=views["shared_head"] + views["prediction_head"]).input_grad
+                  out=views["heads"]).input_grad
     for m in MODALITIES:
         d_rep = tape.weights[m] * dh.take(tape.rows[m], axis=0)
         backward(model.encoders[m], tape.encoder_tapes[m], d_rep,
@@ -224,7 +210,7 @@ def probe_predictions(model: ModelParams, feats: dict, mask: np.ndarray,
 
     Each modality's available rows, tiled T times, go through its own
     encoder (fusion weight 1 on that channel); the encoder outputs of all
-    modalities then go through the shared and prediction heads in one pass.
+    modalities then go through the heads in one pass.
     Every row draws fresh dropout masks.
     """
     mask = np.asarray(mask, dtype=bool)

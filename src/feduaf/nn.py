@@ -1,10 +1,11 @@
 """From-scratch dense network numerics: forward, dropout, backprop, Adam.
 
-Networks are small MLPs over (B, d) float64 batches. Dropout is inverted
-(train mode scales kept units by 1/keep so eval needs no rescaling) and is
-applied after every relu activation; identity layers are plain affine maps.
-Backprop is hand-derived for this fixed layer structure and checked against
-finite differences in the test suite.
+Networks are small MLPs over (B, d) float64 batches, and every one has
+the same shape: each layer but the last is affine, then relu, then inverted
+dropout (train mode scales kept units by 1/keep so eval needs no
+rescaling); the last layer is a plain affine map. Backprop is hand-derived
+for this fixed structure and checked against finite differences in the test
+suite.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import numpy as np
 from .exceptions import ConfigError, NumericError, ShapeError, StateError
 from .rng import Rng
 
-RELU = "relu"
-IDENTITY = "identity"
 TRAIN = "train"
 EVAL = "eval"
 
@@ -26,7 +25,6 @@ EVAL = "eval"
 class DenseLayer:
     weights: np.ndarray  # (out_dim, in_dim)
     bias: np.ndarray  # (out_dim,)
-    activation: str = RELU
 
     @property
     def in_dim(self) -> int:
@@ -43,8 +41,6 @@ class DenseLayer:
             raise ShapeError(
                 f"bias length {self.bias.shape[0]} != out_dim {self.weights.shape[0]}"
             )
-        if self.activation not in (RELU, IDENTITY):
-            raise ConfigError(f"unknown activation {self.activation!r}")
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
             raise NumericError("layer parameters contain non-finite entries")
 
@@ -76,25 +72,16 @@ class Mlp:
                 )
 
 
-def init_mlp(dims, rng: Rng, dropout_rate: float = 0.0, activations=None) -> Mlp:
-    """Build an MLP with Glorot-uniform weights and zero biases.
-
-    `dims` is [in, hidden..., out]; default activations are relu on every
-    layer except an identity last layer.
-    """
+def init_mlp(dims, rng: Rng, dropout_rate: float = 0.0) -> Mlp:
+    """Build an MLP with Glorot-uniform weights and zero biases; `dims` is
+    [in, hidden..., out]."""
     if len(dims) < 2:
         raise ConfigError("dims needs at least an input and an output size")
-    n_layers = len(dims) - 1
-    if activations is None:
-        activations = [RELU] * (n_layers - 1) + [IDENTITY]
-    if len(activations) != n_layers:
-        raise ConfigError("one activation per layer required")
     layers = []
-    for i in range(n_layers):
-        fan_in, fan_out = dims[i], dims[i + 1]
+    for fan_in, fan_out in zip(dims, dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-        layers.append(DenseLayer(w, np.zeros(fan_out), activations[i]))
+        layers.append(DenseLayer(w, np.zeros(fan_out)))
     mlp = Mlp(layers, dropout_rate)
     mlp.validate()
     return mlp
@@ -105,10 +92,8 @@ class Tape:
     """Activation record from one forward call, consumed by backward."""
 
     mlp_id: int
-    mode: str
     inputs: list = field(default_factory=list)  # per-layer input (B, in_dim)
-    # per relu layer (z > 0) & dropout keep mask, bool (B, out_dim); None
-    # for identity layers
+    # per layer but the last: (z > 0) & dropout keep mask, bool (B, out_dim)
     gates: list = field(default_factory=list)
     keep: float = 1.0  # dropout keep probability; 1.0 when no dropout ran
 
@@ -145,22 +130,19 @@ def forward(mlp: Mlp, x: np.ndarray, mode: str = EVAL, rng: Rng | None = None,
         raise ConfigError("train-mode forward with dropout requires an rng")
     keep = 1.0 - mlp.dropout_rate if use_dropout else 1.0
     inputs, gates = [], []
-    for layer in layers:
+    for i, layer in enumerate(layers):
         inputs.append(a)
-        z = a @ layer.weights.T
-        z += layer.bias
-        if layer.activation == RELU:
-            gate = z > 0.0
+        a = a @ layer.weights.T
+        a += layer.bias
+        if i < len(layers) - 1:
+            gate = a > 0.0
             if use_dropout:
-                gate &= rng.keep_mask((n, z.shape[1]), keep)[idx]
-            np.multiply(z, gate, out=z)
+                gate &= rng.keep_mask((n, a.shape[1]), keep)[idx]
+            np.multiply(a, gate, out=a)
             if use_dropout:
-                z /= keep
+                a /= keep
             gates.append(gate)
-        else:
-            gates.append(None)
-        a = z
-    return a, Tape(id(mlp), mode, inputs, gates, keep)
+    return a, Tape(id(mlp), inputs, gates, keep)
 
 
 @dataclass
@@ -193,13 +175,11 @@ def backward(mlp: Mlp, tape: Tape, loss_grad: np.ndarray, out=None,
                for layer in mlp.layers]
     for i in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[i]
-        gate = tape.gates[i]
-        if gate is not None:
-            gz = g * gate
+        gz = g
+        if i < len(tape.gates):
+            gz = g * tape.gates[i]
             if tape.keep != 1.0:
                 gz /= tape.keep
-        else:
-            gz = g
         dw, db = out[i]
         np.matmul(gz.T, tape.inputs[i], out=dw)
         gz.sum(axis=0, out=db)

@@ -126,18 +126,16 @@ def test_criterion_1_math_exact_suite():
 # ---------------------------------------------------------------- criterion 2
 
 def _relu_kink_margin(model, tape):
-    """Smallest |preactivation| across relu layers; finite differences are
-    only well-posed away from the kink."""
-    from feduaf.nn import RELU
-
+    """Smallest |preactivation| across relu layers, which are every layer
+    but the last; finite differences are only well-posed away from the
+    kink."""
     margin = np.inf
     comps = [(model.encoders[m], tape.encoder_tapes[m]) for m in MODALITIES]
     comps.append((model.heads, tape.head_tape))
     for mlp, t in comps:
-        for layer, a in zip(mlp.layers, t.inputs):
-            if layer.activation == RELU:
-                z = a @ layer.weights.T + layer.bias
-                margin = min(margin, float(np.abs(z).min(initial=np.inf)))
+        for layer, a in zip(mlp.layers[:-1], t.inputs):
+            z = a @ layer.weights.T + layer.bias
+            margin = min(margin, float(np.abs(z).min(initial=np.inf)))
     return margin
 
 

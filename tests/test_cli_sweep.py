@@ -137,6 +137,40 @@ class TestCli:
         assert err.startswith("error: ") and f"{path}: repeated key 'rounds'" in err
         assert not (tmp_path / "out").exists()
 
+    def test_deeply_nested_config_exits_1(self, tmp_path, capsys):
+        # json's decoder raises RecursionError at this depth
+        path = tmp_path / "config.json"
+        path.write_text('{"training": %s%s}' % ("[" * 100_000, "]" * 100_000))
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply\n"
+
+    def test_deeply_nested_dataset_line_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        data.write_text(GOOD_LINE + '{"client_id": %s%s}\n' % ("[" * 100_000, "]" * 100_000))
+        path = write_json(tmp_path / "config.json",
+                          dict(SMALL_RUN, data_path=str(data), output_dir=str(tmp_path / "out")))
+        assert main(["run", "--config", path]) == 1
+        assert capsys.readouterr().err == "error: line 2: JSON nested too deeply\n"
+
+    @pytest.mark.parametrize("section, key, value", [("model", "hidden_dim", 10**13),
+                                                     ("uncertainty", "passes", 10**14)])
+    def test_unallocatable_run_size_exits_2(self, tmp_path, capsys, section, key, value):
+        # the first array of this size exceeds 2**48 bytes, which no address
+        # space holds, so the allocation fails under any overcommit setting
+        path = write_json(tmp_path / "config.json",
+                          dict(SMALL_RUN, output_dir=str(tmp_path / "out"),
+                               **{section: {key: value}}))
+        assert main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: Unable to allocate ") and err.count("\n") == 1
+
+    def test_unallocatable_gen_data_size_exits_2(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json",
+                          dict(GEN_DATA_SPEC, samples_per_client=10**14))
+        assert main(["gen-data", "--spec", spec, "--out", str(tmp_path / "x.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: Unable to allocate ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "", "1_0", " 2 ", "+2", "\u0663"])
     def test_bad_thread_env_exits_1(self, tmp_path, capsys, monkeypatch, value):
         path = write_json(tmp_path / "config.json",

@@ -9,6 +9,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import feduaf.model
 from feduaf.config import config_from_dict
 from feduaf.datagen import ClientData, ClientDataset, Sample
 from feduaf.exceptions import ConfigError, ProtocolError
@@ -29,7 +30,7 @@ from feduaf.fedsim import (
 )
 from feduaf.fusion import MODALITIES
 from feduaf.model import ModelParams, extract_shared
-from feduaf.nn import IDENTITY, DenseLayer, Mlp
+from feduaf.nn import DenseLayer, Mlp
 from feduaf.rng import Rng
 
 SMOKE = {
@@ -231,17 +232,27 @@ class TestLocalUpdate:
         k = len(stats.batch_losses) // 4
         assert np.mean(stats.batch_losses[-k:]) < np.mean(stats.batch_losses[:k])
 
-    def test_convex_toy_descends_monotonically_after_warmup(self):
-        # all-linear single-layer pipeline, one sample, no dropout
+    def test_convex_toy_descends_monotonically_after_warmup(self, monkeypatch):
+        # a linear pipeline, one sample, no dropout: single-layer encoders,
+        # and heads whose one relu layer never clamps (features and weights
+        # start positive, the label lies above the first prediction, and
+        # the recorded gates show it)
         dim = 3
-        eye = lambda: Mlp([DenseLayer(np.eye(dim) * 0.5, np.zeros(dim), IDENTITY)])
+        eye = lambda: DenseLayer(np.eye(dim) * 0.5, np.zeros(dim))
         model = ModelParams(
-            encoders={m: eye() for m in MODALITIES},
-            shared_head=eye(),
-            prediction_head=Mlp([DenseLayer(np.full((1, dim), 0.3), np.zeros(1),
-                                            IDENTITY)]),
+            encoders={m: Mlp([eye()]) for m in MODALITIES},
+            heads=Mlp([eye(), DenseLayer(np.full((1, dim), 0.3), np.zeros(1))]),
         )
-        sample = Sample({m: np.array([1.0, -0.5, 0.25]) for m in MODALITIES}, 2.0)
+        gates = []
+        forward = feduaf.model.forward
+
+        def recording(*args, **kwargs):
+            out, tape = forward(*args, **kwargs)
+            gates.extend(tape.gates)
+            return out, tape
+
+        monkeypatch.setattr(feduaf.model, "forward", recording)
+        sample = Sample({m: np.array([1.0, 0.5, 0.25]) for m in MODALITIES}, 2.0)
         ds = ClientDataset("c0", [sample])
         data = ClientData("c0", ds, ClientDataset("c0", [sample]),
                           ClientDataset("c0", [sample]))
@@ -250,6 +261,7 @@ class TestLocalUpdate:
                            model={"dropout": 0.0})
         _, stats = local_update(client, cfg, 1, Rng(0))
         losses = stats.batch_losses
+        assert gates and all(gate.all() for gate in gates)
         warmup = 20
         assert all(b <= a + 1e-12 for a, b in zip(losses[warmup:], losses[warmup + 1:]))
         assert losses[-1] < 1e-3

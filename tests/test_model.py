@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import feduaf.model
-from feduaf.exceptions import ConfigError, NumericError, ShapeError
+from feduaf.exceptions import NumericError, ShapeError
 from feduaf.fusion import MODALITIES
 from feduaf.model import (
     ModelParams,
@@ -16,7 +16,7 @@ from feduaf.model import (
     init_model_params,
     probe_predictions,
 )
-from feduaf.nn import EVAL, IDENTITY, RELU, TRAIN, DenseLayer, Mlp, mse_loss_batch
+from feduaf.nn import EVAL, TRAIN, DenseLayer, Mlp, mse_loss_batch
 from feduaf.rng import Rng
 
 from oracles import assert_grads_close, finite_difference_grads
@@ -35,13 +35,37 @@ def tensor(model, flat, name):
     return flat[off:off + int(np.prod(shape))].reshape(shape)
 
 
-def expected_names(model, share_encoders):
-    """Tensor names in upload order, spelled out from the components."""
-    comps = [f"encoder.{m}" for m in MODALITIES] if share_encoders else []
-    comps.append("shared_head")
-    mlps = dict(model.components())
-    return [f"{c}.layers.{i}.{attr}" for c in comps
-            for i in range(len(mlps[c].layers)) for attr in ("weight", "bias")]
+# tiny_model's layout: the v1 checkpoint name, offset and shape of every
+# tensor of theta; the exchanged block is the shared head, after the
+# encoders when they are shared too
+TINY_LAYOUT = [
+    ("encoder.v.layers.0.weight", 0, (6, 4)),
+    ("encoder.v.layers.0.bias", 24, (6,)),
+    ("encoder.v.layers.1.weight", 30, (5, 6)),
+    ("encoder.v.layers.1.bias", 60, (5,)),
+    ("encoder.a.layers.0.weight", 65, (6, 3)),
+    ("encoder.a.layers.0.bias", 83, (6,)),
+    ("encoder.a.layers.1.weight", 89, (5, 6)),
+    ("encoder.a.layers.1.bias", 119, (5,)),
+    ("encoder.t.layers.0.weight", 124, (6, 5)),
+    ("encoder.t.layers.0.bias", 154, (6,)),
+    ("encoder.t.layers.1.weight", 160, (5, 6)),
+    ("encoder.t.layers.1.bias", 190, (5,)),
+    ("shared_head.layers.0.weight", 195, (6, 5)),
+    ("shared_head.layers.0.bias", 225, (6,)),
+    ("prediction_head.layers.0.weight", 231, (1, 6)),
+    ("prediction_head.layers.0.bias", 237, (1,)),
+]
+UPLOAD_NAMES = {
+    False: ["shared_head.layers.0.weight", "shared_head.layers.0.bias"],
+    True: ["encoder.v.layers.0.weight", "encoder.v.layers.0.bias",
+           "encoder.v.layers.1.weight", "encoder.v.layers.1.bias",
+           "encoder.a.layers.0.weight", "encoder.a.layers.0.bias",
+           "encoder.a.layers.1.weight", "encoder.a.layers.1.bias",
+           "encoder.t.layers.0.weight", "encoder.t.layers.0.bias",
+           "encoder.t.layers.1.weight", "encoder.t.layers.1.bias",
+           "shared_head.layers.0.weight", "shared_head.layers.0.bias"],
+}
 
 
 def random_batch(b=4, seed=1):
@@ -143,7 +167,7 @@ class TestBackwardFused:
         analytic = backward_fused(model, tape, dpreds)
 
         def loss_fn():
-            out = np.zeros((len(labels), model.shared_head.in_dim))
+            out = np.zeros((len(labels), model.heads.in_dim))
             for mi, m in enumerate(MODALITIES):
                 rows = tape.rows[m]
                 a = feats[m][rows]
@@ -151,7 +175,7 @@ class TestBackwardFused:
                 t = tape.encoder_tapes[m]
                 for li, layer in enumerate(mlp.layers):
                     z = a @ layer.weights.T + layer.bias
-                    if layer.activation == "relu":
+                    if li < len(mlp.layers) - 1:
                         a = np.where((z > 0) & t.gates[li], z / t.keep, 0.0)
                     else:
                         a = z
@@ -159,7 +183,7 @@ class TestBackwardFused:
             t = tape.head_tape
             for li, layer in enumerate(model.heads.layers):
                 z = out @ layer.weights.T + layer.bias
-                if layer.activation == "relu":
+                if li < len(model.heads.layers) - 1:
                     out = np.where((z > 0) & t.gates[li], z / t.keep, 0.0)
                 else:
                     out = z
@@ -184,7 +208,7 @@ class TestSharedBlock:
     def test_assign_round_trip(self):
         src, dst = tiny_model(seed=1), tiny_model(seed=2)
         assign_shared(dst, extract_shared(src))
-        for a, b in zip(src.shared_head.layers, dst.shared_head.layers):
+        for a, b in zip(src.heads.layers[:-1], dst.heads.layers[:-1]):
             assert np.array_equal(a.weights, b.weights)
         # encoders untouched
         assert not np.array_equal(src.encoders["v"].layers[0].weights,
@@ -203,14 +227,14 @@ class TestSharedBlock:
     @pytest.mark.parametrize("share_encoders", [False, True])
     def test_layout_names_and_shared_slice(self, share_encoders):
         model = tiny_model()
+        assert model.layout == TINY_LAYOUT
         names = [name for name, _ in extract_shared(model, share_encoders)]
-        assert names == expected_names(model, share_encoders)
+        assert names == UPLOAD_NAMES[share_encoders]
         block = model.shared_slice(share_encoders)
+        assert block == slice(0 if share_encoders else 195, 231)
         flat = np.concatenate([arr.ravel() for _, arr in
                                extract_shared(model, share_encoders)])
         assert np.array_equal(flat, model.theta[block])
-        assert model.layout[-1][0] == "prediction_head.layers.0.bias"
-        assert block.stop == model.layout[-2][1]
 
     @pytest.mark.parametrize("share_encoders", [False, True])
     def test_extract_assign_round_trips(self, share_encoders):
@@ -225,43 +249,45 @@ class TestSharedBlock:
 
     def test_hand_built_model_is_packed(self):
         def linear(w):
-            return Mlp([DenseLayer(np.array(w, dtype=float), np.zeros(len(w)), IDENTITY)])
+            return Mlp([DenseLayer(np.array(w, dtype=float), np.zeros(len(w)))])
 
         weights = {m: [[1.0 + i, 2.0], [3.0, 4.0 + i]] for i, m in enumerate(MODALITIES)}
         model = ModelParams(
             encoders={m: linear(w) for m, w in weights.items()},
-            shared_head=Mlp([DenseLayer(np.eye(2), np.ones(2), RELU)]),
-            prediction_head=linear([[0.5, -0.5]]),
+            heads=Mlp([DenseLayer(np.eye(2), np.ones(2)),
+                       DenseLayer(np.array([[0.5, -0.5]]), np.zeros(1))]),
         )
         assert model.theta.size == 3 * 6 + 6 + 3
         for m in MODALITIES:
             layer = model.encoders[m].layers[0]
             assert np.shares_memory(layer.weights, model.theta)
             assert layer.weights.tolist() == weights[m]
-        assert [n for n, _, _ in model.layout][:2] == [
-            "encoder.v.layers.0.weight", "encoder.v.layers.0.bias"]
+        assert [n for n, _, _ in model.layout] == [
+            f"encoder.{m}.layers.0.{attr}" for m in MODALITIES for attr in ("weight", "bias")
+        ] + ["shared_head.layers.0.weight", "shared_head.layers.0.bias",
+             "prediction_head.layers.0.weight", "prediction_head.layers.0.bias"]
 
     def test_nonfinite_head_output_raises(self):
         # a non-finite value inside the heads, which run as one network,
         # still raises, in the fused pass and in the probes
         model = tiny_model(dropout=0.2)
-        model.shared_head.layers[0].bias[:] = np.inf
+        model.heads.layers[0].bias[:] = np.inf
         feats, alpha, _ = random_batch()
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             forward_fused(model, feats, alpha, EVAL)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             probe_predictions(model, feats, np.ones((4, 3), dtype=bool), 3, Rng(1))
 
-    def test_relu_prediction_head_needs_the_shared_dropout(self):
-        model = tiny_model(dropout=0.2)
-        with pytest.raises(ConfigError):
-            ModelParams(model.encoders, model.shared_head,
-                        Mlp([DenseLayer(np.ones((1, 6)), np.zeros(1), RELU)]))
+    def test_single_layer_heads_rejected(self):
+        # the heads are a shared layer followed by the prediction layer
+        model = tiny_model()
+        with pytest.raises(ShapeError, match="shared layer and a prediction layer"):
+            ModelParams(model.encoders, Mlp([DenseLayer(np.ones((1, 5)), np.zeros(1))]))
 
     def test_invariant_validation(self):
         model = tiny_model()
-        model.prediction_head.layers[-1].weights = np.zeros((2, 6))
-        model.prediction_head.layers[-1].bias = np.zeros(2)
+        model.heads.layers[-1].weights = np.zeros((2, 6))
+        model.heads.layers[-1].bias = np.zeros(2)
         with pytest.raises(ShapeError):
             model.validate()
 

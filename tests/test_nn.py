@@ -8,8 +8,6 @@ import pytest
 from feduaf.exceptions import ConfigError, NumericError, ShapeError, StateError
 from feduaf.nn import (
     EVAL,
-    IDENTITY,
-    RELU,
     TRAIN,
     AdamState,
     DenseLayer,
@@ -25,9 +23,18 @@ from feduaf.rng import Rng
 from oracles import assert_grads_close, finite_difference_grads
 
 
-def single_layer(w, b, activation, dropout_rate=0.0):
-    return Mlp([DenseLayer(np.array(w, dtype=float), np.array(b, dtype=float),
-                           activation)], dropout_rate)
+def single_layer(w, b):
+    """An affine map: a network's last layer has no relu."""
+    return Mlp([DenseLayer(np.array(w, dtype=float), np.array(b, dtype=float))])
+
+
+def relu_layer(w, b, dropout_rate=0.0):
+    """A hidden relu layer (w, b) under an identity output layer, so the
+    network's output is that layer's activation, exactly."""
+    w = np.array(w, dtype=float)
+    out = w.shape[0]
+    return Mlp([DenseLayer(w, np.array(b, dtype=float)),
+                DenseLayer(np.eye(out), np.zeros(out))], dropout_rate)
 
 
 def layer_arrays(mlp):
@@ -42,18 +49,18 @@ def grad_arrays(grads):
 
 class TestForward:
     def test_identity_layer_passes_input_through(self):
-        mlp = single_layer(np.eye(2), [0.0, 0.0], IDENTITY)
+        mlp = single_layer(np.eye(2), [0.0, 0.0])
         out, _ = forward(mlp, np.array([[1.0, 2.0]]), EVAL)
         assert out.tolist() == [[1.0, 2.0]]
 
     def test_relu_affine_analytic(self):
         # 2*3 + 1 = 7
-        mlp = single_layer([[2.0]], [1.0], RELU)
+        mlp = relu_layer([[2.0]], [1.0])
         out, _ = forward(mlp, np.array([[3.0]]), EVAL)
         assert out.tolist() == [[7.0]]
 
     def test_relu_clamps_negative(self):
-        mlp = single_layer([[2.0]], [1.0], RELU)
+        mlp = relu_layer([[2.0]], [1.0])
         out, _ = forward(mlp, np.array([[-3.0]]), EVAL)
         assert out.tolist() == [[0.0]]
 
@@ -103,8 +110,8 @@ class TestForward:
         rng = Rng(42)
         mlp = Mlp(
             [
-                DenseLayer(np.abs(rng.normal(size=(6, 3))) + 0.2, np.full(6, 0.1), RELU),
-                DenseLayer(np.abs(rng.normal(size=(2, 6))) + 0.2, np.zeros(2), IDENTITY),
+                DenseLayer(np.abs(rng.normal(size=(6, 3))) + 0.2, np.full(6, 0.1)),
+                DenseLayer(np.abs(rng.normal(size=(2, 6))) + 0.2, np.zeros(2)),
             ],
             dropout_rate=0.5,
         )
@@ -123,7 +130,7 @@ class TestForward:
 class TestBackward:
     def test_linear_layer_analytic(self):
         # y = w*x with w=3, x=1: loss y^2 has dL/dw = 2*y*x = 6
-        mlp = single_layer([[3.0]], [0.0], IDENTITY)
+        mlp = single_layer([[3.0]], [0.0])
         out, tape = forward(mlp, np.array([[1.0]]), EVAL)
         grads = backward(mlp, tape, 2.0 * out)
         dw, db = grads.layers[0]
@@ -314,21 +321,21 @@ class TestValidation:
 
     def test_unchained_dims_rejected(self):
         bad = Mlp([
-            DenseLayer(np.zeros((3, 2)), np.zeros(3), RELU),
-            DenseLayer(np.zeros((1, 4)), np.zeros(1), IDENTITY),
+            DenseLayer(np.zeros((3, 2)), np.zeros(3)),
+            DenseLayer(np.zeros((1, 4)), np.zeros(1)),
         ])
         with pytest.raises(ShapeError):
             bad.validate()
 
     def test_nonfinite_weights_rejected(self):
-        layer = DenseLayer(np.array([[np.inf]]), np.zeros(1), RELU)
+        layer = DenseLayer(np.array([[np.inf]]), np.zeros(1))
         with pytest.raises(NumericError):
             layer.validate()
 
 
 def test_relu_dropout_masks_and_scales():
     # relu, then inverted dropout at keep 0.5: kept positive units double
-    mlp = single_layer(np.eye(3), np.zeros(3), RELU, dropout_rate=0.5)
+    mlp = relu_layer(np.eye(3), np.zeros(3), dropout_rate=0.5)
     z = np.tile([1.0, -1.0, 2.0], (8, 1))
     out, tape = forward(mlp, z, TRAIN, Rng(0))
     mask = Rng(0).random((8, 3)) < 0.5  # the one mask forward drew
@@ -356,14 +363,15 @@ def test_gates_match_where_reference_bit_for_bit(mode, dropout_rate):
     draws = Rng(8)
     keep = 1.0 - dropout_rate
     use_dropout = mode == TRAIN and dropout_rate > 0.0
+    last = len(mlp.layers) - 1
     a, inputs, zs, masks = x, [], [], []
-    for layer in mlp.layers:
+    for i, layer in enumerate(mlp.layers):
         z = a @ layer.weights.T + layer.bias
         inputs.append(a)
         zs.append(z)
-        mask = draws.random(z.shape) < keep if use_dropout and layer.activation == RELU else None
+        mask = draws.random(z.shape) < keep if use_dropout and i < last else None
         masks.append(mask)
-        if layer.activation != RELU:
+        if i == last:
             a = z
         elif mask is None:
             a = np.where(z > 0.0, z, 0.0)
@@ -372,7 +380,7 @@ def test_gates_match_where_reference_bit_for_bit(mode, dropout_rate):
     np.testing.assert_array_equal(out, a)
     for i in range(len(mlp.layers) - 1, -1, -1):
         layer, z, mask = mlp.layers[i], zs[i], masks[i]
-        if layer.activation != RELU:
+        if i == last:
             gz = g
         elif mask is None:
             gz = np.where(z > 0.0, g, 0.0)
@@ -382,6 +390,8 @@ def test_gates_match_where_reference_bit_for_bit(mode, dropout_rate):
         np.testing.assert_array_equal(grads.layers[i][1], gz.sum(axis=0))
         g = gz @ layer.weights
     np.testing.assert_array_equal(grads.input_grad, g)
+    # one gate per hidden layer; the affine output layer has none
+    assert len(tape.gates) == last
 
 
 def test_rows_keep_the_whole_batch_masks():
@@ -393,9 +403,9 @@ def test_rows_keep_the_whole_batch_masks():
     full_rng, part_rng = Rng(2), Rng(2)
     full_out, full_tape = forward(mlp, x, TRAIN, full_rng)
     out, tape = forward(mlp, x[idx], TRAIN, part_rng, rows=(9, idx))
+    assert len(tape.gates) == len(full_tape.gates) == 2
     for gate, full_gate in zip(tape.gates, full_tape.gates):
-        if gate is not None:
-            assert np.array_equal(gate, full_gate[idx])
+        assert np.array_equal(gate, full_gate[idx])
     np.testing.assert_allclose(out, full_out[idx], rtol=1e-12)
     assert part_rng.random() == full_rng.random()
     with pytest.raises(ShapeError):

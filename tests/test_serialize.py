@@ -35,7 +35,7 @@ def test_assign_round_trip(tmp_path):
     src, dst = model(1), model(2)
     save_params(tmp_path / "params.json", extract_shared(src))
     assign_shared(dst, load_params(tmp_path / "params.json"))
-    for ls, ld in zip(src.shared_head.layers, dst.shared_head.layers):
+    for ls, ld in zip(src.heads.layers[:-1], dst.heads.layers[:-1]):
         assert np.array_equal(ls.weights, ld.weights)
         assert np.array_equal(ls.bias, ld.bias)
 
@@ -54,7 +54,7 @@ def test_assign_rejects_missing_tensor():
         dst = model(2)
         with pytest.raises(ShapeError):
             assign_shared(dst, bad)
-        assert np.array_equal(dst.shared_head.layers[0].weights, arr)
+        assert np.array_equal(dst.heads.layers[0].weights, arr)
 
 
 def test_container_rejects_wrong_format():
