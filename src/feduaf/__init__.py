@@ -13,7 +13,7 @@ from .config import ExperimentConfig, FederationSpec, config_from_dict, parse_co
 from .datagen import (
     ClientData,
     ClientDataset,
-    Sample,
+    Samples,
     generate_federation,
     load_jsonl,
     mark_noisy_clients,

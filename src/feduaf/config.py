@@ -160,9 +160,15 @@ def _key(path: str, name: str) -> str:
     return f"{path}.{name}" if path else name
 
 
+ECHO_CHARS = 60  # of an offending value's repr in a message
+
+
 def _check(f, value, key: str):
     if not f.metadata["ok"](value):
-        raise ConfigError(f"config key '{key}' expects {f.metadata['desc']}, got {value!r}")
+        shown = repr(value)
+        if len(shown) > ECHO_CHARS:
+            shown = f"{shown[:ECHO_CHARS]}... ({len(shown)} chars)"
+        raise ConfigError(f"config key '{key}' expects {f.metadata['desc']}, got {shown}")
 
 
 def from_dict(cls, raw, path: str = ""):

@@ -31,15 +31,23 @@ SPLIT_FRACTIONS = (0.7, 0.1, 0.2)
 
 
 @dataclass
-class Sample:
-    features: dict  # modality -> float64 vector; its keys are the available modalities
-    label: float
+class Samples:
+    """A split as one table. `feats[m]` is (n, d_m) float64, zero on the rows
+    where m is unavailable; `mask` is (n, 3) bool in v/a/t order; `labels`
+    is (n,)."""
+
+    feats: dict
+    mask: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
 @dataclass
 class ClientDataset:
     client_id: str
-    samples: list
+    samples: Samples
 
 
 @dataclass
@@ -68,9 +76,9 @@ def _split_bounds(n: int) -> tuple:
 
 def split_dataset(dataset: ClientDataset) -> ClientData:
     """Positional 70/10/20 train/val/test split (at least 1 train and 1 test)."""
-    cid = dataset.client_id
-    return ClientData(cid, *(ClientDataset(cid, dataset.samples[lo:hi])
-                             for lo, hi in _split_bounds(len(dataset.samples))))
+    cid, table = dataset.client_id, dataset.samples
+    return ClientData(cid, *(ClientDataset(cid, batch_from_samples(table, slice(lo, hi)))
+                             for lo, hi in _split_bounds(len(table))))
 
 
 def generate_federation(spec: FederationSpec) -> list:
@@ -104,14 +112,14 @@ def generate_federation(spec: FederationSpec) -> list:
             feats[m] = z @ projections[m].T + noise
         splits = []
         for split, (lo, hi) in zip(("train", "val", "test"), _split_bounds(n)):
-            masks = np.ones((hi - lo, len(MODALITIES)), dtype=bool)
+            mask = np.ones((hi - lo, len(MODALITIES)), dtype=bool)
             if spec.missing_ratio > 0.0:
-                masks, _, _ = draw_missing_masks(masks, spec.missing_ratio,
-                                                 crng.derive("missing", split))
-            splits.append(ClientDataset(cid, [
-                Sample({m: feats[m][i].copy() for mi, m in enumerate(MODALITIES) if row[mi]},
-                       float(labels[i]))
-                for i, row in zip(range(lo, hi), masks)]))
+                mask, _, _ = draw_missing_masks(mask, spec.missing_ratio,
+                                                crng.derive("missing", split))
+            splits.append(ClientDataset(cid, Samples(
+                {m: np.where(mask[:, mi:mi + 1], feats[m][lo:hi], 0.0)
+                 for mi, m in enumerate(MODALITIES)},
+                mask, labels[lo:hi])))
         clients.append(ClientData(cid, *splits))
     return mark_noisy_clients(clients, spec.noisy_ratio, master.derive("noisy"))
 
@@ -156,22 +164,10 @@ def mark_noisy_clients(clients: list, noisy_ratio: float, rng: Rng) -> list:
 
 # ------------------------------------------------------------------- batching
 
-def batch_from_samples(samples: list, feature_dims: dict):
-    """Stack samples into per-modality matrices (missing rows zero-filled).
-
-    Returns (feats: modality -> (B, d), mask: (B, 3) bool, labels: (B,)).
-    """
-    b = len(samples)
-    feats = {m: np.zeros((b, feature_dims[m])) for m in MODALITIES}
-    mask = np.zeros((b, len(MODALITIES)), dtype=bool)
-    labels = np.empty(b)
-    for i, s in enumerate(samples):
-        labels[i] = s.label
-        for mi, m in enumerate(MODALITIES):
-            if m in s.features:
-                feats[m][i] = s.features[m]
-                mask[i, mi] = True
-    return feats, mask, labels
+def batch_from_samples(samples: Samples, idx) -> Samples:
+    """Rows `idx` of a table, an index array or a slice, as a table."""
+    return Samples({m: f[idx] for m, f in samples.feats.items()},
+                   samples.mask[idx], samples.labels[idx])
 
 
 # ----------------------------------------------------------------- JSONL I/O
@@ -189,62 +185,65 @@ def save_jsonl(path, clients: list):
             else:
                 datasets = (client,)
             for ds in datasets:
-                for s in ds.samples:
+                table = ds.samples
+                for i, row in enumerate(table.mask):
                     rec = {
                         "client_id": ds.client_id,
-                        "features": {m: s.features[m].tolist()
-                                     for m in MODALITIES if m in s.features},
-                        "mask": {m: int(m in s.features) for m in MODALITIES},
-                        "label": float(s.label),
+                        "features": {m: table.feats[m][i].tolist()
+                                     for m, bit in zip(MODALITIES, row) if bit},
+                        "mask": {m: int(bit) for m, bit in zip(MODALITIES, row)},
+                        "label": float(table.labels[i]),
                     }
                     fh.write(json.dumps(rec) + "\n")
 
 
-def _parse_line(line: str, lineno: int, dims_seen: dict) -> tuple:
+def _parse_line(line: str, where: str, dims_seen: dict) -> tuple:
+    """(client_id, modality -> feature vector, label) of one line;
+    errors begin with `where`."""
     try:
         rec = json.loads(line, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
+        raise ParseError(f"{where}: malformed JSON ({exc.msg})") from exc
     except RecursionError:
-        raise ParseError(f"line {lineno}: JSON nested too deeply") from None
+        raise ParseError(f"{where}: JSON nested too deeply") from None
     except ParseError as exc:
-        raise ParseError(f"line {lineno}: {exc}") from None
+        raise ParseError(f"{where}: {exc}") from None
     if not isinstance(rec, dict):
-        raise ValidationError(f"line {lineno}: expected a JSON object")
+        raise ValidationError(f"{where}: expected a JSON object")
     unknown = set(rec) - _SAMPLE_KEYS
     if unknown:
-        raise ValidationError(f"line {lineno}: unknown keys {sorted(unknown)}")
+        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
     missing = _SAMPLE_KEYS - set(rec)
     if missing:
-        raise ValidationError(f"line {lineno}: missing keys {sorted(missing)}")
+        raise ValidationError(f"{where}: missing keys {sorted(missing)}")
     cid = rec["client_id"]
     if not isinstance(cid, str) or not cid:
-        raise ValidationError(f"line {lineno}: client_id must be a non-empty string")
+        raise ValidationError(f"{where}: client_id must be a non-empty string")
     mask_rec = rec["mask"]
     if not isinstance(mask_rec, dict) or set(mask_rec) != set(MODALITIES):
-        raise ValidationError(f"line {lineno}: mask must have exactly keys {MODALITIES}")
+        raise ValidationError(f"{where}: mask must have exactly keys {MODALITIES}")
     for m, bit in mask_rec.items():
         if type(bit) is not int or bit not in (0, 1):  # not True, not 1.0
-            raise ValidationError(f"line {lineno}: mask[{m!r}] must be 0 or 1")
+            raise ValidationError(f"{where}: mask[{m!r}] must be 0 or 1")
     available = sorted(m for m in MODALITIES if mask_rec[m])
     if not available:
-        raise ValidationError(f"line {lineno}: sample has no available modality")
+        raise ValidationError(f"{where}: sample has no available modality")
     feats_rec = rec["features"]
     if not isinstance(feats_rec, dict):
-        raise ValidationError(f"line {lineno}: features must be an object")
+        raise ValidationError(f"{where}: features must be an object")
     if sorted(feats_rec) != available:
-        raise ValidationError(f"line {lineno}: features keys {sorted(feats_rec)} do not "
+        raise ValidationError(f"{where}: features keys {sorted(feats_rec)} do not "
                               f"match available modalities {available}")
     features = {}
     for m, vec in feats_rec.items():
         if not is_finite_list(vec) or not vec:
             raise ValidationError(
-                f"line {lineno}: features[{m!r}] must be a non-empty list of finite numbers"
+                f"{where}: features[{m!r}] must be a non-empty list of finite numbers"
             )
         arr = np.array(vec, dtype=np.float64)
         if m in dims_seen and dims_seen[m] != arr.size:
             raise ValidationError(
-                f"line {lineno}: features[{m!r}] has dim {arr.size}, "
+                f"{where}: features[{m!r}] has dim {arr.size}, "
                 f"expected {dims_seen[m]}"
             )
         dims_seen.setdefault(m, arr.size)
@@ -252,12 +251,14 @@ def _parse_line(line: str, lineno: int, dims_seen: dict) -> tuple:
     label = rec["label"]
     lo, hi = LABEL_RANGE
     if not is_finite_number(label) or not lo <= label <= hi:
-        raise ValidationError(f"line {lineno}: label must be a number in [{lo}, {hi}]")
-    return cid, Sample(features, float(label))
+        raise ValidationError(f"{where}: label must be a number in [{lo}, {hi}]")
+    return cid, features, float(label)
 
 
-def load_jsonl(path) -> list:
-    """Parse a JSONL dataset into ClientDatasets grouped by client_id."""
+def load_jsonl(path, feature_dim: int) -> list:
+    """Parse a JSONL dataset into one ClientDataset table per client_id, in
+    order of first appearance; a modality on no line gets width
+    `feature_dim`."""
     groups: dict = {}
     dims_seen: dict = {}
     with open_input(path, "dataset") as fh:
@@ -268,8 +269,17 @@ def load_jsonl(path) -> list:
                 raise ParseError(f"{path}: line {lineno}: not UTF-8 text ({exc.reason})")
             if not line.strip():
                 continue
-            cid, sample = _parse_line(line, lineno, dims_seen)
-            groups.setdefault(cid, []).append(sample)
+            cid, features, label = _parse_line(line, f"{path}: line {lineno}", dims_seen)
+            groups.setdefault(cid, []).append((features, label))
     if not groups:
         raise ValidationError(f"{path}: empty dataset file")
-    return [ClientDataset(cid, samples) for cid, samples in groups.items()]
+    datasets = []
+    for cid, rows in groups.items():
+        feats = {m: np.zeros((len(rows), dims_seen.get(m, feature_dim))) for m in MODALITIES}
+        for i, (features, _) in enumerate(rows):
+            for m, vec in features.items():
+                feats[m][i] = vec
+        mask = np.array([[m in features for m in MODALITIES] for features, _ in rows])
+        datasets.append(ClientDataset(cid, Samples(
+            feats, mask, np.array([label for _, label in rows]))))
+    return datasets

@@ -28,6 +28,7 @@ from .config import (  # noqa: F401  (STRATEGIES is re-exported)
 )
 from .datagen import (
     ClientData,
+    Samples,
     batch_from_samples,
     generate_federation,
     load_jsonl,
@@ -35,7 +36,7 @@ from .datagen import (
     split_dataset,
 )
 from .exceptions import ConfigError, NumericError, ProtocolError, ShapeError
-from .fusion import MODALITIES, fusion_weights_batch, uniform_fusion_weights_batch
+from .fusion import fusion_weights_batch, uniform_fusion_weights_batch
 from .model import (
     ModelParams,
     assign_shared,
@@ -176,22 +177,22 @@ def fedprox_penalty(theta: np.ndarray, anchor: np.ndarray, mu: float):
 
 # -------------------------------------------------------------- client side
 
-def _batch_fusion_weights(model, feats, mask, config, rng):
+def _batch_fusion_weights(model, samples: Samples, config, rng):
     if config.ablation.ua_fusion:
-        u = probe_uncertainties(model, feats, mask, config.uncertainty.passes, rng)
-        return fusion_weights_batch(u, mask)
-    return uniform_fusion_weights_batch(mask)
+        u = probe_uncertainties(model, samples.feats, samples.mask,
+                                config.uncertainty.passes, rng)
+        return fusion_weights_batch(u, samples.mask)
+    return uniform_fusion_weights_batch(samples.mask)
 
 
-def client_mean_uncertainty(model: ModelParams, feats: dict, mask, config, rng: Rng) -> float:
-    """Mean fused prediction uncertainty over (a subsample of) the batch rows."""
+def client_mean_uncertainty(model: ModelParams, samples: Samples, config, rng: Rng) -> float:
+    """Mean fused prediction uncertainty over (a subsample of) the rows."""
     max_n = config.reliability.max_samples
-    if mask.shape[0] > max_n:
-        idx = np.sort(rng.choice(mask.shape[0], size=max_n, replace=False))
-        feats = {m: f[idx] for m, f in feats.items()}
-        mask = mask[idx]
-    alpha = _batch_fusion_weights(model, feats, mask, config, rng)
-    u = fused_uncertainties(model, feats, alpha, config.uncertainty.passes, rng)
+    if len(samples) > max_n:
+        samples = batch_from_samples(
+            samples, np.sort(rng.choice(len(samples), size=max_n, replace=False)))
+    alpha = _batch_fusion_weights(model, samples, config, rng)
+    u = fused_uncertainties(model, samples.feats, alpha, config.uncertainty.passes, rng)
     return float(u.mean())
 
 
@@ -205,8 +206,8 @@ def local_update(client: ClientRuntime, config, round_index: int, rng: Rng):
     Returns (ClientUpdate, LocalStats).
     """
     cid = client.data.client_id
-    train = client.data.train
-    if not train.samples:
+    train = client.data.train.samples
+    if not len(train):
         raise ConfigError(f"client {cid!r} has an empty training set")
     share_enc = config.share_encoders
     theta = client.model.theta
@@ -217,25 +218,16 @@ def local_update(client: ClientRuntime, config, round_index: int, rng: Rng):
     if prox_mu > 0.0:
         shared = client.model.shared_slice(share_enc)
         theta_global = theta[shared].copy()
-    n = len(train.samples)
-    feats_all, mask_all, labels_all = batch_from_samples(
-        train.samples, client.model.feature_dims())
-    # uniform weights are row-wise in the mask: compute them once
-    uniform = None if config.ablation.ua_fusion else uniform_fusion_weights_batch(mask_all)
+    n = len(train)
     batch = config.training.batch_size
     losses = []
     for _epoch in range(config.training.local_epochs):
         perm = rng.permutation(n)
         for start in range(0, n, batch):
-            idx = perm[start:start + batch]
-            feats_b = {m: feats_all[m][idx] for m in feats_all}
-            if uniform is None:
-                alpha = _batch_fusion_weights(
-                    client.model, feats_b, mask_all[idx], config, rng)
-            else:
-                alpha = uniform[idx]
-            preds, tape = forward_fused(client.model, feats_b, alpha, TRAIN, rng)
-            loss, dpreds = mse_loss_batch(preds, labels_all[idx])
+            rows = batch_from_samples(train, perm[start:start + batch])
+            alpha = _batch_fusion_weights(client.model, rows, config, rng)
+            preds, tape = forward_fused(client.model, rows.feats, alpha, TRAIN, rng)
+            loss, dpreds = mse_loss_batch(preds, rows.labels)
             if not np.isfinite(loss):
                 raise NumericError("non-finite loss")
             backward_fused(client.model, tape, dpreds, out=grad_out)
@@ -248,7 +240,7 @@ def local_update(client: ClientRuntime, config, round_index: int, rng: Rng):
         upload = perturb_update(upload, config.noise_gamma, rng)
         assign_shared(client.model, upload, share_enc)
     # reliability reflects the model as uploaded (perturbation included)
-    u_bar = client_mean_uncertainty(client.model, feats_all, mask_all, config, rng)
+    u_bar = client_mean_uncertainty(client.model, train, config, rng)
     reliability = 1.0 / (u_bar + config.reliability.epsilon)
     update = ClientUpdate(cid, upload, reliability, n)
     mean_loss = float(np.mean(losses)) if losses else 0.0
@@ -269,18 +261,17 @@ def evaluate_mae(clients: list, config, rng: Rng, collect: list | None = None) -
     client_maes = []
     for client in clients:
         cid = client.data.client_id
-        if not client.data.test.samples:
+        test = client.data.test.samples
+        if not len(test):
             raise ConfigError(f"client {cid!r} has an empty test set")
-        feats, mask, labels = batch_from_samples(
-            client.data.test.samples, client.model.feature_dims())
-        alpha = _batch_fusion_weights(client.model, feats, mask, config, rng.derive(cid))
-        preds = forward_fused(client.model, feats, alpha)[0]
-        client_maes.append(float(np.mean(np.abs(preds - labels))))
+        alpha = _batch_fusion_weights(client.model, test, config, rng.derive(cid))
+        preds = forward_fused(client.model, test.feats, alpha)[0]
+        client_maes.append(float(np.mean(np.abs(preds - test.labels))))
         if collect is not None:
             collect.append({
                 "client_id": cid,
                 "predictions": [float(p) for p in preds],
-                "labels": [float(y) for y in labels],
+                "labels": [float(y) for y in test.labels],
             })
     return float(np.mean(client_maes))
 
@@ -357,7 +348,8 @@ def build_federation_data(config, seed: int) -> list:
     """Materialize ClientData for the run: synthetic spec or JSONL ingestion."""
     fed = config.federation
     if config.data_path:
-        datasets = sorted(load_jsonl(config.data_path), key=lambda d: d.client_id)
+        datasets = sorted(load_jsonl(config.data_path, fed.feature_dim),
+                          key=lambda d: d.client_id)
         if len(datasets) < 2:
             raise ConfigError(f"{config.data_path}: a federation needs at least "
                               f"2 clients, found {len(datasets)}")
@@ -372,22 +364,12 @@ def build_federation_data(config, seed: int) -> list:
         replace(fed, seed=seed if fed.seed is None else fed.seed))
 
 
-def _data_feature_dims(clients: list, default_dim: int) -> dict:
-    dims = {}
-    for client in clients:
-        for ds in (client.train, client.val, client.test):
-            for s in ds.samples:
-                for m, vec in s.features.items():
-                    dims.setdefault(m, len(vec))
-    return {m: dims.get(m, default_dim) for m in MODALITIES}
-
-
 def init_federation(config, seed: int) -> FederationState:
     """Build every client's data and model, and broadcast the server's
     initial shared block to every client."""
     data = build_federation_data(config, seed)
     data = sorted(data, key=lambda c: c.client_id)
-    dims = _data_feature_dims(data, config.federation.feature_dim)
+    dims = {m: f.shape[1] for m, f in data[0].train.samples.feats.items()}
     init_rng = Rng(seed)
     clients = [
         ClientRuntime(
@@ -422,10 +404,10 @@ def run_simulation(config, seed: int, run_dir, n_threads: int | None = None) -> 
     if n_threads is None:
         n_threads = threads_from_env()
     t_start = time.perf_counter()
-    os.makedirs(run_dir, exist_ok=True)
     state = init_federation(config, seed)
     run_rng = Rng(seed).derive("protocol")
     initial_mae = evaluate_mae(state.clients, config, run_rng.derive("eval", 0))
+    os.makedirs(run_dir, exist_ok=True)  # a run that fails before here leaves no directory
     rounds_path = os.path.join(run_dir, "rounds.jsonl")
     with open(rounds_path, "w", encoding="utf-8") as fh:
         for _ in range(config.training.rounds):

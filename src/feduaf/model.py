@@ -87,9 +87,6 @@ class ModelParams:
         """Canonical (name, Mlp) order of `theta` and of gradient vectors."""
         return [(f"encoder.{m}", self.encoders[m]) for m in MODALITIES] + [("heads", self.heads)]
 
-    def feature_dims(self) -> dict:
-        return {m: self.encoders[m].in_dim for m in MODALITIES}
-
     def shared_slice(self, share_encoders: bool = False) -> slice:
         """The exchanged block inside `theta`: the shared head, preceded by
         the encoders when they are shared too; it ends where the prediction

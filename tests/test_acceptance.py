@@ -457,7 +457,7 @@ def test_criterion_7_noisy_client_trend(trend7_results):
 
 def test_criterion_8_ingestion(tmp_path):
     problems = []
-    clients = load_jsonl(FIXTURE)
+    clients = load_jsonl(FIXTURE, 20)  # every modality is on some line
     if sorted(c.client_id for c in clients) != ["spk_a", "spk_b"]:
         problems.append("fixture clients not loaded")
     if not all(len(c.samples) == 5 for c in clients):
@@ -481,17 +481,17 @@ def test_criterion_8_ingestion(tmp_path):
     p1 = tmp_path / "copy1.jsonl"
     p2 = tmp_path / "copy2.jsonl"
     save_jsonl(p1, clients)
-    reloaded = load_jsonl(p1)
+    reloaded = load_jsonl(p1, 20)
     save_jsonl(p2, reloaded)
     if p1.read_bytes() != p2.read_bytes():
         problems.append("write -> load -> write changed bytes")
     for a, b in zip(clients, reloaded):
-        for sa, sb in zip(a.samples, b.samples):
-            if sa.label != sb.label or set(sa.features) != set(sb.features):
-                problems.append("sample mismatch after round-trip")
-            for m in sa.features:
-                if not np.array_equal(sa.features[m], sb.features[m]):
-                    problems.append("feature bits changed in round-trip")
+        sa, sb = a.samples, b.samples
+        if not (np.array_equal(sa.labels, sb.labels) and np.array_equal(sa.mask, sb.mask)):
+            problems.append("sample mismatch after round-trip")
+        for mi, m in enumerate(MODALITIES):
+            if not np.array_equal(sa.feats[m][sa.mask[:, mi]], sb.feats[m][sb.mask[:, mi]]):
+                problems.append("feature bits changed in round-trip")
     report(8, "jsonl ingestion", not problems,
            problems[0] if problems else
            f"2 clients x 5 samples; trained 2 rounds (final MAE "

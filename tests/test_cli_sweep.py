@@ -57,7 +57,7 @@ class TestCli:
                            "missing_ratio": 0.5, "seed": 2})
         out = tmp_path / "data.jsonl"
         assert main(["gen-data", "--spec", spec, "--out", str(out)]) == 0
-        clients = load_jsonl(out)
+        clients = load_jsonl(out, 20)
         assert len(clients) == 3
         assert sum(len(c.samples) for c in clients) == 24
 
@@ -150,7 +150,18 @@ class TestCli:
         path = write_json(tmp_path / "config.json",
                           dict(SMALL_RUN, data_path=str(data), output_dir=str(tmp_path / "out")))
         assert main(["run", "--config", path]) == 1
-        assert capsys.readouterr().err == "error: line 2: JSON nested too deeply\n"
+        assert capsys.readouterr().err == f"error: {data}: line 2: JSON nested too deeply\n"
+
+    def test_dataset_field_error_names_file(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        data.write_text(GOOD_LINE.replace('"label": 0.5', '"label": 9.5'))
+        out = tmp_path / "out"
+        path = write_json(tmp_path / "config.json",
+                          dict(SMALL_RUN, data_path=str(data), output_dir=str(out)))
+        assert main(["run", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}: line 1: label must be a number in [-3.0, 3.0]\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("section, key, value", [("model", "hidden_dim", 10**13),
                                                      ("uncertainty", "passes", 10**14)])
@@ -163,6 +174,7 @@ class TestCli:
         assert main(["run", "--config", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("runtime error: Unable to allocate ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_unallocatable_gen_data_size_exits_2(self, tmp_path, capsys):
         spec = write_json(tmp_path / "spec.json",
@@ -228,7 +240,7 @@ class TestCli:
 
     def test_client_too_small_to_split_exits_1(self, tmp_path, capsys):
         # one sample gives client 'a' no train split; the run must stop
-        # before the initial evaluation writes anything
+        # before it creates its output directory
         data = tmp_path / "data.jsonl"
         data.write_text(GOOD_LINE.replace('"c"', '"a"') + GOOD_LINE * 6)
         out = tmp_path / "out"
@@ -237,7 +249,7 @@ class TestCli:
         assert main(["run", "--config", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "client 'a' has 1 sample" in err
-        assert not (out / "rounds.jsonl").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("vec", ['"ab"', '[0.1, {"x": 1}]'])
     def test_bad_feature_values_exit_1(self, tmp_path, capsys, vec):

@@ -82,6 +82,19 @@ def test_every_field_rejects_wrong_types():
                     config_from_dict(raw)
 
 
+def test_long_offending_value_is_cut_in_the_message():
+    # a list nested 500 deep: its repr is 1,000 brackets
+    seeds = json.loads("[" * 500 + "]" * 500)
+    with pytest.raises(ConfigError) as info:
+        config_from_dict({"seeds": seeds})
+    msg = str(info.value)
+    assert msg.startswith("config key 'seeds' expects a non-empty list")
+    assert msg.endswith(", got " + "[" * 60 + "... (1000 chars)")
+    # a short value is shown whole
+    with pytest.raises(ConfigError, match=r", got 'x'$"):
+        config_from_dict({"seeds": "x"})
+
+
 def test_fusion_dim_defaults_to_hidden():
     cfg = config_from_dict({"model": {"hidden_dim": 48}})
     assert cfg.model.fusion_dim == 48

@@ -9,7 +9,7 @@ from scipy import stats
 from feduaf.datagen import (
     ClientDataset,
     FederationSpec,
-    Sample,
+    Samples,
     batch_from_samples,
     draw_missing_masks,
     generate_federation,
@@ -24,8 +24,18 @@ from feduaf.rng import Rng
 
 
 def client_labels(client):
-    return np.array([s.label for ds in (client.train, client.val, client.test)
-                     for s in ds.samples])
+    return np.concatenate([table.labels for table in splits(client)])
+
+
+def splits(client):
+    return [ds.samples for ds in (client.train, client.val, client.test)]
+
+
+def assert_same_table(got, want):
+    assert np.array_equal(got.mask, want.mask)
+    assert np.array_equal(got.labels, want.labels)
+    for m in MODALITIES:
+        assert np.array_equal(got.feats[m], want.feats[m])
 
 
 class TestGenerateFederation:
@@ -38,12 +48,8 @@ class TestGenerateFederation:
         for ca, cb in zip(a, b):
             assert ca.client_id == cb.client_id
             assert ca.is_noisy == cb.is_noisy
-            for da, db in ((ca.train, cb.train), (ca.val, cb.val), (ca.test, cb.test)):
-                for sa, sb in zip(da.samples, db.samples):
-                    assert sa.label == sb.label
-                    assert set(sa.features) == set(sb.features)
-                    for m in sa.features:
-                        assert np.array_equal(sa.features[m], sb.features[m])
+            for sa, sb in zip(splits(ca), splits(cb)):
+                assert_same_table(sa, sb)
 
     def test_iid_limit_label_means_agree(self):
         spec = FederationSpec(num_clients=2, samples_per_client=1000,
@@ -92,7 +98,7 @@ class TestGenerateFederation:
         # audio noisiest, text cleanest
         spec = FederationSpec(num_clients=2, samples_per_client=2000, seed=9)
         clients = generate_federation(spec)
-        feats, _, _ = batch_from_samples(clients[0].train.samples, {m: 20 for m in MODALITIES})
+        feats = clients[0].train.samples.feats
         spreads = {m: feats[m].var(axis=0).mean() for m in MODALITIES}
         assert spreads["a"] > spreads["v"] > spreads["t"]
 
@@ -122,8 +128,7 @@ class TestInjectMissing:
     def generate(self, rho, seed):
         spec = FederationSpec(num_clients=3, samples_per_client=100,
                               missing_ratio=rho, seed=seed)
-        return [s for c in generate_federation(spec)
-                for ds in (c.train, c.val, c.test) for s in ds.samples]
+        return [table for c in generate_federation(spec) for table in splits(c)]
 
     def test_empirical_drop_rate(self):
         # pre-restoration drop rate within [0.78, 0.82] at rho=0.8 over
@@ -134,16 +139,21 @@ class TestInjectMissing:
         assert 0.78 <= rate <= 0.82
 
     def test_every_sample_keeps_a_modality(self):
-        samples = self.generate(0.9, 3)
-        assert samples and all(s.features for s in samples)
+        tables = self.generate(0.9, 3)
+        assert tables and all(t.mask.any(axis=1).all() for t in tables)
 
     def test_features_match_mask_after_injection(self):
-        samples = self.generate(0.5, 4)
-        assert any(len(s.features) < len(MODALITIES) for s in samples)
-        for s in samples:
-            assert set(s.features) <= set(MODALITIES)
-            assert -3.0 <= s.label <= 3.0
-            assert all(np.isfinite(vec).all() for vec in s.features.values())
+        tables = self.generate(0.5, 4)
+        assert any((~t.mask).any() for t in tables)
+        for t in tables:
+            assert t.mask.shape == (len(t), len(MODALITIES))
+            assert ((-3.0 <= t.labels) & (t.labels <= 3.0)).all()
+            for mi, m in enumerate(MODALITIES):
+                assert t.feats[m].shape == (len(t), 20)
+                assert np.isfinite(t.feats[m]).all()
+                # unavailable rows are zero; available ones are generated noise
+                assert not t.feats[m][~t.mask[:, mi]].any()
+                assert t.feats[m][t.mask[:, mi]].all()
 
     def test_restoration_rate_matches_rho_cubed(self):
         rho = 0.6
@@ -199,10 +209,13 @@ class TestSplit:
     ])
     def test_fractions(self, n, expected):
         rng = Rng(0)
-        samples = [Sample({m: rng.normal(size=2) for m in MODALITIES}, 0.0)
-                   for _ in range(n)]
-        c = split_dataset(ClientDataset("x", samples))
-        assert (len(c.train.samples), len(c.val.samples), len(c.test.samples)) == expected
+        table = Samples({m: rng.normal(size=(n, 2)) for m in MODALITIES},
+                        np.ones((n, 3), dtype=bool), np.arange(n, dtype=float))
+        c = split_dataset(ClientDataset("x", table))
+        assert tuple(len(t) for t in splits(c)) == expected
+        # positional: the splits are consecutive runs of the table's rows
+        assert np.concatenate([t.labels for t in splits(c)]).tolist() == list(range(n))
+        assert np.array_equal(c.test.samples.feats["a"], table.feats["a"][n - expected[2]:])
 
 
 class TestJsonl:
@@ -215,32 +228,27 @@ class TestJsonl:
         clients = self.make_clients()
         path = tmp_path / "data.jsonl"
         save_jsonl(path, clients)
-        loaded = load_jsonl(path)
-        flat = {}
-        for c in clients:
-            flat.setdefault(c.client_id, [])
-            for ds in (c.train, c.val, c.test):
-                flat[c.client_id].extend(ds.samples)
-        assert sorted(d.client_id for d in loaded) == sorted(flat)
-        for ds in loaded:
-            for got, want in zip(ds.samples, flat[ds.client_id]):
-                assert got.label == want.label
-                assert set(got.features) == set(want.features)
-                for m in got.features:
-                    assert np.array_equal(got.features[m], want.features[m])
+        loaded = load_jsonl(path, 20)
+        assert [d.client_id for d in loaded] == [c.client_id for c in clients]
+        for ds, c in zip(loaded, clients):
+            parts = splits(c)
+            assert_same_table(ds.samples, Samples(
+                {m: np.concatenate([t.feats[m] for t in parts]) for m in MODALITIES},
+                np.concatenate([t.mask for t in parts]),
+                np.concatenate([t.labels for t in parts])))
 
     def test_write_load_write_stable(self, tmp_path):
         clients = self.make_clients()
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         save_jsonl(p1, clients)
-        save_jsonl(p2, load_jsonl(p1))
+        save_jsonl(p2, load_jsonl(p1, 20))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         with pytest.raises(ValidationError, match="empty"):
-            load_jsonl(path)
+            load_jsonl(path, 20)
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -248,7 +256,7 @@ class TestJsonl:
                 '"mask": {"v": 1, "a": 0, "t": 0}, "label": 0.5}')
         path.write_text(good + "\n{oops\n")
         with pytest.raises(ParseError, match="line 2"):
-            load_jsonl(path)
+            load_jsonl(path, 20)
 
     def test_repeated_key_names_line(self, tmp_path):
         # json alone keeps the last label, 1.0, and never sees the bad 5.0
@@ -256,21 +264,21 @@ class TestJsonl:
         path.write_text('{"client_id": "c", "features": {"v": [1.0]}, '
                         '"mask": {"v": 1, "a": 0, "t": 0}, "label": 5.0, "label": 1.0}\n')
         with pytest.raises(ParseError, match="line 1: repeated key 'label'"):
-            load_jsonl(path)
+            load_jsonl(path, 20)
 
     def test_mask_features_inconsistency_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"client_id": "c", "features": {}, '
                         '"mask": {"v": 1, "a": 0, "t": 0}, "label": 0.5}\n')
         with pytest.raises(ValidationError, match="line 1"):
-            load_jsonl(path)
+            load_jsonl(path, 20)
         # a feature vector is a non-empty flat list of finite JSON numbers
         for vec in ('["1.5", "2"]', "[true, false]", '"ab"', '[0.1, {"x": 1}]', "[]",
                     "[[1.0, 2.0]]", "[1%s]" % ("0" * 400), "[NaN]"):
             path.write_text('{"client_id": "c", "features": {"v": %s}, '
                             '"mask": {"v": 1, "a": 0, "t": 0}, "label": 0.5}\n' % vec)
             with pytest.raises(ValidationError, match="line 1"):
-                load_jsonl(path)
+                load_jsonl(path, 20)
 
     def test_label_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -278,7 +286,7 @@ class TestJsonl:
             path.write_text('{"client_id": "c", "features": {"v": [1.0]}, '
                             '"mask": {"v": 1, "a": 0, "t": 0}, "label": %s}\n' % label)
             with pytest.raises(ValidationError, match="line 1"):
-                load_jsonl(path)
+                load_jsonl(path, 20)
 
     def test_bool_mask_bits_rejected(self, tmp_path):
         # a mask bit is the integer 0 or 1, as save_jsonl writes it
@@ -288,7 +296,7 @@ class TestJsonl:
             path.write_text('{"client_id": "c", "features": {"v": [1.0]}, '
                             '"mask": %s, "label": 0.5}\n' % mask)
             with pytest.raises(ValidationError, match="line 1"):
-                load_jsonl(path)
+                load_jsonl(path, 20)
 
     def test_inconsistent_dims_rejected(self, tmp_path):
         line1 = ('{"client_id": "c", "features": {"v": [1.0, 2.0]}, '
@@ -298,16 +306,37 @@ class TestJsonl:
         path = tmp_path / "bad.jsonl"
         path.write_text(line1 + "\n" + line2 + "\n")
         with pytest.raises(ValidationError, match="line 2"):
-            load_jsonl(path)
+            load_jsonl(path, 20)
 
 
 class TestBatching:
-    def test_zero_fill_and_mask(self):
-        rng = Rng(0)
-        s1 = Sample({m: rng.normal(size=3) for m in MODALITIES}, 1.0)
-        s2 = Sample({"t": rng.normal(size=3)}, -1.0)
-        feats, mask, labels = batch_from_samples([s1, s2], {m: 3 for m in MODALITIES})
-        assert labels.tolist() == [1.0, -1.0]
-        assert mask.tolist() == [[True, True, True], [False, False, True]]
-        assert not feats["v"][1].any()
-        assert np.array_equal(feats["t"][1], s2.features["t"])
+    def table(self):
+        return Samples({m: np.arange(12.0).reshape(4, 3) + 100 * mi
+                        for mi, m in enumerate(MODALITIES)},
+                       np.array([[1, 1, 1], [0, 0, 1], [1, 0, 1], [0, 1, 0]], dtype=bool),
+                       np.array([1.0, -1.0, 0.5, 2.0]))
+
+    @pytest.mark.parametrize("idx", [np.array([3, 0]), slice(1, 3), slice(0)])
+    def test_gathers_rows(self, idx):
+        table = self.table()
+        rows = batch_from_samples(table, idx)
+        assert np.array_equal(rows.mask, table.mask[idx])
+        assert np.array_equal(rows.labels, table.labels[idx])
+        for m in MODALITIES:
+            assert np.array_equal(rows.feats[m], table.feats[m][idx])
+        assert len(rows) == len(table.labels[idx])
+
+    def test_zero_fill_and_mask(self, tmp_path):
+        path = tmp_path / "two.jsonl"
+        path.write_text('{"client_id": "c", "features": {"v": [1.0, 2.0], "t": [3.0]}, '
+                        '"mask": {"v": 1, "a": 0, "t": 1}, "label": 1.0}\n'
+                        '{"client_id": "c", "features": {"t": [4.0]}, '
+                        '"mask": {"v": 0, "a": 0, "t": 1}, "label": -1.0}\n')
+        [ds] = load_jsonl(path, 5)
+        table = ds.samples
+        assert table.labels.tolist() == [1.0, -1.0]
+        assert table.mask.tolist() == [[True, False, True], [False, False, True]]
+        assert table.feats["v"].tolist() == [[1.0, 2.0], [0.0, 0.0]]
+        assert table.feats["t"].tolist() == [[3.0], [4.0]]
+        # a modality on no line takes the width it is given
+        assert table.feats["a"].shape == (2, 5) and not table.feats["a"].any()

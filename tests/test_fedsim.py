@@ -11,7 +11,7 @@ import pytest
 
 import feduaf.model
 from feduaf.config import config_from_dict
-from feduaf.datagen import ClientData, ClientDataset, Sample
+from feduaf.datagen import ClientData, ClientDataset, Samples, batch_from_samples
 from feduaf.exceptions import ConfigError, ProtocolError
 from feduaf.fedsim import (
     ClientRuntime,
@@ -252,10 +252,9 @@ class TestLocalUpdate:
             return out, tape
 
         monkeypatch.setattr(feduaf.model, "forward", recording)
-        sample = Sample({m: np.array([1.0, 0.5, 0.25]) for m in MODALITIES}, 2.0)
-        ds = ClientDataset("c0", [sample])
-        data = ClientData("c0", ds, ClientDataset("c0", [sample]),
-                          ClientDataset("c0", [sample]))
+        one = Samples({m: np.array([[1.0, 0.5, 0.25]]) for m in MODALITIES},
+                      np.ones((1, 3), dtype=bool), np.array([2.0]))
+        data = ClientData("c0", *(ClientDataset("c0", one) for _ in range(3)))
         client = ClientRuntime(data=data, model=model)
         cfg = smoke_config(training={"local_epochs": 300, "batch_size": 1},
                            model={"dropout": 0.0})
@@ -281,7 +280,7 @@ class TestLocalUpdate:
     def test_empty_training_set_rejected(self):
         state, cfg = self.build_state()
         client = state.clients[0]
-        client.data.train.samples.clear()
+        client.data.train.samples = batch_from_samples(client.data.train.samples, slice(0))
         with pytest.raises(ConfigError):
             local_update(client, cfg, 1, Rng(9))
 
@@ -300,7 +299,7 @@ class TestEvaluateMae:
     def test_zero_model_mae_equals_mean_abs_label(self):
         state, cfg = self.zeroed_state()
         expected = np.mean([
-            np.mean([abs(s.label) for s in c.data.test.samples]) for c in state.clients
+            np.mean(np.abs(c.data.test.samples.labels)) for c in state.clients
         ])
         mae = evaluate_mae(state.clients, cfg, Rng(0))
         assert mae == pytest.approx(expected)
@@ -308,9 +307,9 @@ class TestEvaluateMae:
     def test_analytic_two_sample_case(self):
         state, cfg = self.zeroed_state()
         client = state.clients[0]
-        for s, label in zip(client.data.test.samples, (1.0, -1.0)):
-            s.label = label
-        client.data.test.samples = client.data.test.samples[:2]
+        test = batch_from_samples(client.data.test.samples, np.arange(2))
+        test.labels[:] = (1.0, -1.0)
+        client.data.test.samples = test
         mae = evaluate_mae([client], cfg, Rng(0))
         assert mae == pytest.approx(1.0)
 
@@ -327,7 +326,8 @@ class TestEvaluateMae:
     def test_empty_test_set_rejected(self):
         cfg = smoke_config()
         state = init_federation(cfg, 1)
-        state.clients[0].data.test.samples.clear()
+        test = state.clients[0].data.test
+        test.samples = batch_from_samples(test.samples, slice(0))
         with pytest.raises(ConfigError):
             evaluate_mae(state.clients, cfg, Rng(0))
 
@@ -408,6 +408,21 @@ class TestRounds:
             assert [n for n, _ in held] == [n for n, _ in state.shared]
             for (_, a), (_, b) in zip(held, state.shared):
                 assert a.tobytes() == b.tobytes()
+
+    def test_modality_on_no_line_gets_the_configured_width(self, tmp_path):
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(
+            json.dumps({"client_id": cid, "features": {"v": [float(i), 1.0], "t": [0.5 * i]},
+                        "mask": {"v": 1, "a": 0, "t": 1}, "label": 0.1 * i}) + "\n"
+            for cid in ("c0", "c1") for i in range(5)))
+        cfg = smoke_config(data_path=str(data), federation={"feature_dim": 7})
+        state = init_federation(cfg, 1)
+        for client in state.clients:
+            widths = {m: enc.in_dim for m, enc in client.model.encoders.items()}
+            assert widths == {"v": 2, "a": 7, "t": 1}
+        summary = run_simulation(cfg, 1, tmp_path / "run", n_threads=1)
+        assert summary["rounds_completed"] == cfg.training.rounds
+        assert np.isfinite(summary["final_mae"])
 
     def test_symmetric_setup_strategy_equivalence(self):
         # equal reliabilities and sizes: reliability weighting == uniform

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from feduaf.datagen import Sample, batch_from_samples
 from feduaf.exceptions import ConfigError, DegenerateInputError, ValidationError
 from feduaf.fusion import MODALITIES, fusion_weights_batch
 import feduaf.model
@@ -29,17 +28,20 @@ def tiny_model(dropout=0.2, seed=0):
                              dropout_rate=dropout, rng=Rng(seed))
 
 
-def full_sample(seed=1, label=0.5):
+def full_sample(seed=1):
+    """Modality -> feature vector of a sample with every modality."""
     rng = Rng(seed)
-    feats = {m: rng.normal(size=4) for m in MODALITIES}
-    return Sample(feats, label)
+    return {m: rng.normal(size=4) for m in MODALITIES}
 
 
-def sample_mc(model, sample, T, rng):
-    """One sample's pipeline as a one-row batch: probe uncertainties (1, 3),
-    NaN where missing, and T fused predictions (T,) under the weights they
+def sample_mc(model, features, T, rng):
+    """One sample's pipeline as a one-row batch, `features` holding the
+    vectors of its available modalities: probe uncertainties (1, 3), NaN
+    where missing, and T fused predictions (T,) under the weights they
     imply, all drawn from `rng` in that order."""
-    feats, mask, _ = batch_from_samples([sample], model.feature_dims())
+    mask = np.array([[m in features for m in MODALITIES]])
+    feats = {m: features.get(m, np.zeros(model.encoders[m].in_dim))[None, :]
+             for m in MODALITIES}
     u = probe_uncertainties(model, feats, mask, T, rng)
     alpha = fusion_weights_batch(u, mask)
     return u, fused_mc_predictions(model, feats, alpha, T, rng)[:, 0]
@@ -150,10 +152,8 @@ class TestMcPredict:
         assert variance_uncertainty(preds) > 0.0
 
     def test_no_modalities_rejected(self):
-        s = full_sample()
-        empty = Sample({}, s.label)
         with pytest.raises(DegenerateInputError):
-            sample_mc(tiny_model(), empty, 5, Rng(0))
+            sample_mc(tiny_model(), {}, 5, Rng(0))
 
 
 def masked_batch(b=8, seed=4):
@@ -212,9 +212,7 @@ class TestProbeUncertainties:
 class TestModalityUncertainties:
     def test_single_modality_sample(self):
         model = tiny_model()
-        s = full_sample()
-        only_t = Sample({"t": s.features["t"]}, s.label)
-        u, preds = sample_mc(model, only_t, 5, Rng(2))
+        u, preds = sample_mc(model, {"t": full_sample()["t"]}, 5, Rng(2))
         assert available(u) == {"t"}
         assert variance_uncertainty(preds) >= 0.0
 
@@ -227,8 +225,7 @@ class TestModalityUncertainties:
     def test_covers_available_modalities_only(self):
         model = tiny_model()
         s = full_sample()
-        partial = Sample({m: s.features[m] for m in ("v", "t")}, s.label)
-        u, _ = sample_mc(model, partial, 5, Rng(2))
+        u, _ = sample_mc(model, {m: s[m] for m in ("v", "t")}, 5, Rng(2))
         assert available(u) == {"v", "t"}
         assert (u[~np.isnan(u)] >= 0.0).all()
 
@@ -266,12 +263,11 @@ class TestTrainedModalitySeparation:
             noise_rng = Rng(99).derive("trial", t)
             u_a, u_t = [], []
             for i in range(batch):
-                s = pool[t * batch + i]
-                feats = dict(s.features)
+                j = t * batch + i
+                feats = {m: pool.feats[m][j] for m in MODALITIES}  # all available
                 feats["a"] = noise_rng.normal(0.0, audio_scale,
                                               size=len(feats["a"]))
-                u, _ = sample_mc(model, Sample(feats, s.label),
-                                 passes, Rng(1).derive("probe", t, i))
+                u, _ = sample_mc(model, feats, passes, Rng(1).derive("probe", t, i))
                 u_a.append(u[0, 1])
                 u_t.append(u[0, 2])
             wins += np.mean(u_a) > np.mean(u_t)
