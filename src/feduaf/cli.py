@@ -36,6 +36,8 @@ def _cmd_gen_data(args) -> int:
 def _cmd_run(args) -> int:
     from .fedsim import run_simulation
 
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be an integer >= 0, got {args.seed}")
     config = parse_config(args.config)
     seed = args.seed if args.seed is not None else config.seeds[0]
     summary = run_simulation(config, seed, config.output_dir)

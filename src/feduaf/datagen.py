@@ -114,7 +114,7 @@ def generate_federation(spec: FederationSpec) -> list:
         for split, (lo, hi) in zip(("train", "val", "test"), _split_bounds(n)):
             mask = np.ones((hi - lo, len(MODALITIES)), dtype=bool)
             if spec.missing_ratio > 0.0:
-                mask, _, _ = draw_missing_masks(mask, spec.missing_ratio,
+                mask, _, _ = draw_missing_masks(hi - lo, spec.missing_ratio,
                                                 crng.derive("missing", split))
             splits.append(ClientDataset(cid, Samples(
                 {m: np.where(mask[:, mi:mi + 1], feats[m][lo:hi], 0.0)
@@ -124,29 +124,24 @@ def generate_federation(spec: FederationSpec) -> list:
     return mark_noisy_clients(clients, spec.noisy_ratio, master.derive("noisy"))
 
 
-def draw_missing_masks(masks: np.ndarray, rho_m: float, rng: Rng):
-    """Drop each (sample, modality) bit independently with probability rho_m.
+def draw_missing_masks(n: int, rho_m: float, rng: Rng):
+    """Masks of n samples that start with every modality: each (sample,
+    modality) bit drops independently with probability rho_m.
 
-    Samples that would lose every available modality get one of their
-    previously available modalities restored, uniformly at random. Returns
-    (new_masks, pre_restoration_drop_events, restored_count) where
-    drop_events is the raw (n, 3) bool matrix of drop draws.
+    A sample that would lose every modality gets one restored, uniformly at
+    random. Returns (masks, drop_events, restored_count) where drop_events
+    is the raw (n, 3) bool matrix of drop draws.
     """
-    masks = np.asarray(masks, dtype=bool)
-    out = masks.copy()
-    drop_events = np.zeros_like(masks)
+    out = np.ones((n, len(MODALITIES)), dtype=bool)
+    drop_events = np.zeros_like(out)
     restored = 0
-    for i in range(masks.shape[0]):
-        if not masks[i].any():
-            raise ValidationError("sample has no available modality before injection")
+    for i in range(n):
         dropped = rng.random(len(MODALITIES)) < rho_m
         drop_events[i] = dropped
-        new = masks[i] & ~dropped
-        if not new.any():
-            candidates = np.flatnonzero(masks[i])
-            new[candidates[rng.integers(0, len(candidates))]] = True
+        out[i] = ~dropped
+        if dropped.all():
+            out[i, rng.integers(0, len(MODALITIES))] = True
             restored += 1
-        out[i] = new
     return out, drop_events, restored
 
 

@@ -176,27 +176,22 @@ def forward_fused(model: ModelParams, feats: dict, alpha: np.ndarray,
 
 
 def backward_fused(model: ModelParams, tape: FusedTape, dpreds: np.ndarray,
-                   out: tuple | None = None) -> np.ndarray:
-    """Gradient of one fused pass as one vector aligned with `model.theta`.
+                   out: tuple) -> np.ndarray:
+    """Gradient of one fused pass, written into the vector of
+    `out = (grad, model.layer_views(grad))`, which is returned.
 
     Fusion weights act as constants: each encoder sees its representation
     gradient scaled by alpha_m on the rows it ran on; an encoder that ran on
-    no row gets an exact zero gradient. Every layer's gradient is written
-    straight into its slot of the vector, which is
-    `out = (grad, model.layer_views(grad))` when given (every slot is
-    overwritten, so one buffer serves every step) and is allocated otherwise.
+    no row gets an exact zero gradient. Every slot of `grad` is overwritten,
+    so one buffer serves every step.
     """
     dpreds = np.asarray(dpreds, dtype=np.float64)
-    if out is None:
-        grad = np.empty_like(model.theta)
-        out = grad, model.layer_views(grad)
     grad, views = out
-    dh = backward(model.heads, tape.head_tape, dpreds[:, None],
-                  out=views["heads"]).input_grad
+    dh = backward(model.heads, tape.head_tape, dpreds[:, None], views["heads"])
     for m in MODALITIES:
         d_rep = tape.weights[m] * dh.take(tape.rows[m], axis=0)
         backward(model.encoders[m], tape.encoder_tapes[m], d_rep,
-                 out=views[f"encoder.{m}"], input_grad=False)
+                 views[f"encoder.{m}"], input_grad=False)
     return grad
 
 

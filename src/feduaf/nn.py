@@ -145,23 +145,16 @@ def forward(mlp: Mlp, x: np.ndarray, mode: str = EVAL, rng: Rng | None = None,
     return a, Tape(id(mlp), inputs, gates, keep)
 
 
-@dataclass
-class MlpGradients:
-    layers: list  # per layer (d_weights, d_bias)
-    input_grad: np.ndarray
-
-
-def backward(mlp: Mlp, tape: Tape, loss_grad: np.ndarray, out=None,
-             input_grad: bool = True) -> MlpGradients:
+def backward(mlp: Mlp, tape: Tape, loss_grad: np.ndarray, out,
+             input_grad: bool = True):
     """Backprop the loss gradient through a taped forward pass.
 
     The relu/dropout gates recorded on the tape are respected: inactive and
-    dropped units pass no gradient. Returns per-parameter gradients plus the
+    dropped units pass no gradient. Each layer's gradient is written into
+    `out`, one (d_weights, d_bias) pair of arrays per layer. Returns the
     gradient w.r.t. the forward input (used to chain the heads into the
-    encoders through fusion); with `input_grad=False` that last product is
-    skipped and `input_grad` is None. `out`, if given, holds one
-    (d_weights, d_bias) pair of arrays per layer to write the gradients
-    into; otherwise they are allocated.
+    encoders through fusion), or None with `input_grad=False`, which skips
+    that last product.
     """
     if tape.mlp_id != id(mlp):
         raise StateError("tape was produced by a different network")
@@ -170,9 +163,6 @@ def backward(mlp: Mlp, tape: Tape, loss_grad: np.ndarray, out=None,
     g = _as_batch(loss_grad, mlp.out_dim, "loss_grad")
     if g.shape[0] != tape.inputs[0].shape[0]:
         raise ShapeError("loss_grad batch size does not match tape")
-    if out is None:
-        out = [(np.empty_like(layer.weights), np.empty_like(layer.bias))
-               for layer in mlp.layers]
     for i in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[i]
         gz = g
@@ -184,68 +174,60 @@ def backward(mlp: Mlp, tape: Tape, loss_grad: np.ndarray, out=None,
         np.matmul(gz.T, tape.inputs[i], out=dw)
         gz.sum(axis=0, out=db)
         g = gz @ layer.weights if i or input_grad else None
-    return MlpGradients(layers=list(out), input_grad=g)
+    return g
+
+
+# Kingma & Ba's defaults (arXiv:1412.6980)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS_ADAM = 1e-8
 
 
 @dataclass
 class AdamState:
+    lr: float
     first_moment: list
     second_moment: list
+    scratch: list = field(repr=False, compare=False)  # per-array (num, den) buffers
     step_count: int = 0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
-    # per-array buffers for adam_step's in-place update
-    scratch: list = field(default_factory=list, repr=False, compare=False)
 
     @classmethod
-    def init_for(cls, params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps_adam: float = 1e-8) -> "AdamState":
-        return cls(
-            first_moment=[np.zeros_like(p) for p in params],
-            second_moment=[np.zeros_like(p) for p in params],
-            step_count=0,
-            lr=lr,
-            beta1=beta1,
-            beta2=beta2,
-            eps_adam=eps_adam,
-        )
+    def init_for(cls, params, lr: float) -> "AdamState":
+        return cls(lr, [np.zeros_like(p) for p in params],
+                   [np.zeros_like(p) for p in params],
+                   [(np.empty_like(p), np.empty_like(p)) for p in params])
 
 
 def adam_step(params, grads, state: AdamState):
     """One bias-corrected Adam step, updating `params` and `state` in place.
 
-    Each array is updated with in-place ufuncs through two scratch buffers
-    held by the state, so a step allocates nothing after the first; the
-    operations keep the order of the textbook expression, so the result
-    does not depend on how the parameters are split into arrays.
+    Each array is updated with in-place ufuncs through the two scratch
+    buffers held by the state, so a step allocates nothing; the operations
+    keep the order of the textbook expression, so the result does not depend
+    on how the parameters are split into arrays.
     """
     if len(params) != len(grads) or len(params) != len(state.first_moment):
         raise ShapeError("params/grads/state length mismatch")
     for p, g, m in zip(params, grads, state.first_moment):
         if p.shape != g.shape or p.shape != m.shape:
             raise ShapeError(f"shape mismatch in adam_step: {p.shape} vs {g.shape}")
-    if not state.scratch:
-        state.scratch = [(np.empty_like(m), np.empty_like(m)) for m in state.first_moment]
     state.step_count += 1
-    beta1, beta2 = state.beta1, state.beta2
-    bc1 = 1.0 - beta1 ** state.step_count
-    bc2 = 1.0 - beta2 ** state.step_count
+    bc1 = 1.0 - BETA1 ** state.step_count
+    bc2 = 1.0 - BETA2 ** state.step_count
     for p, g, m, v, (num, den) in zip(params, grads, state.first_moment,
                                       state.second_moment, state.scratch):
         # m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g
-        m *= beta1
-        np.multiply(g, 1.0 - beta1, out=num)
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=num)
         m += num
-        v *= beta2
-        np.multiply(g, 1.0 - beta2, out=num)
+        v *= BETA2
+        np.multiply(g, 1.0 - BETA2, out=num)
         num *= g
         v += num
         # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
         np.divide(v, bc2, out=den)
         np.sqrt(den, out=den)
-        den += state.eps_adam
+        den += EPS_ADAM
         np.divide(m, bc1, out=num)
         num *= state.lr
         num /= den

@@ -97,11 +97,10 @@ def _run_cell_seed(args):
         return ("error", f"seed {seed}: {type(exc).__name__}: {exc}")
 
 
-def run_sweep(config: ExperimentConfig, grid_raw: dict, out_dir,
-              n_workers: int | None = None) -> SweepResult:
-    """Run every grid point x seed and write sweep.csv under out_dir."""
-    if n_workers is None:
-        n_workers = threads_from_env()
+def run_sweep(config: ExperimentConfig, grid_raw: dict, out_dir) -> SweepResult:
+    """Run every grid point x seed on FEDUAF_THREADS worker processes and
+    write sweep.csv under out_dir."""
+    n_workers = threads_from_env()
     points = parse_grid(grid_raw)
     os.makedirs(out_dir, exist_ok=True)
     cells = []

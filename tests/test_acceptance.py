@@ -182,7 +182,8 @@ def test_criterion_2_gradient_suite():
 
         preds, tape = forward_fused(model, feats, alpha)
         _, dpreds = mse_loss_batch(preds, labels)
-        analytic = backward_fused(model, tape, dpreds)
+        grad = np.empty_like(model.theta)
+        analytic = backward_fused(model, tape, dpreds, (grad, model.layer_views(grad)))
         if use_prox:
             _, prox_grad = fedprox_penalty(model.theta[shared], anchor, mu)
             analytic[shared] += prox_grad

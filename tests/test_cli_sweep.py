@@ -26,6 +26,7 @@ GEN_DATA_SPEC = {"num_clients": 2, "samples_per_client": 4, "feature_dim": 2,
                  "latent_dim": 2, "noniid_intensity": 1.0, "missing_ratio": 0.5,
                  "noisy_ratio": 0.5}
 GEN_DATA_REFERENCE = os.path.join(os.path.dirname(__file__), "data", "gen_data_noseed.jsonl")
+FIXTURE = os.path.join(os.path.dirname(__file__), "data", "ingest_fixture.jsonl")
 GOOD_LINE = ('{"client_id": "c", "features": {"v": [1.0]}, '
              '"mask": {"v": 1, "a": 0, "t": 0}, "label": 0.5}\n')
 
@@ -102,6 +103,17 @@ class TestCli:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["seed"] == 7
         assert summary["rounds_completed"] == 2
+
+    @pytest.mark.parametrize("extra", [{}, {"data_path": FIXTURE}],
+                             ids=["synthetic", "data-path"])
+    def test_run_negative_seed_exits_1_naming_the_option(self, tmp_path, capsys, extra):
+        out = tmp_path / "out"
+        path = write_json(tmp_path / "config.json", dict(SMALL_RUN, output_dir=str(out), **extra))
+        for seed in ("-1", "-2"):
+            assert main(["run", "--config", path, "--seed", seed]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: --seed must be an integer >= 0, got {seed}\n"
+        assert not out.exists()
 
     def test_run_same_seed_byte_identical(self, tmp_path):
         for sub in ("a", "b"):
@@ -352,12 +364,13 @@ class TestSweep:
             payloads.append(Path(result.csv_path).read_bytes())
         assert payloads[0] == payloads[1]
 
-    def test_parallel_workers_match_serial(self, tmp_path):
+    def test_parallel_workers_match_serial(self, tmp_path, monkeypatch):
         grid = {"missing_ratio": [0.2, 0.5]}
         payloads = []
-        for sub, workers in (("serial", 1), ("parallel", 2)):
+        for sub, workers in (("serial", "1"), ("parallel", "2")):
+            monkeypatch.setenv("FEDUAF_THREADS", workers)
             cfg = config_from_dict(dict(SMALL_RUN, output_dir=str(tmp_path / sub)))
-            result = run_sweep(cfg, grid, cfg.output_dir, n_workers=workers)
+            result = run_sweep(cfg, grid, cfg.output_dir)
             payloads.append(Path(result.csv_path).read_bytes())
         assert payloads[0] == payloads[1]
 
@@ -409,12 +422,13 @@ class TestSweep:
                 return map(fn, jobs)
 
         monkeypatch.setattr("feduaf.sweep.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setenv("FEDUAF_THREADS", "64")
         cfg = self.sweep_config(tmp_path)
-        result = run_sweep(cfg, {}, cfg.output_dir, n_workers=64)
+        result = run_sweep(cfg, {}, cfg.output_dir)
         assert sizes == [2] and len(result.cells[0].maes) == 2
         one_seed = config_from_dict(dict(SMALL_RUN, seeds=[1],
                                          output_dir=str(tmp_path / "one")))
-        run_sweep(one_seed, {}, one_seed.output_dir, n_workers=64)
+        run_sweep(one_seed, {}, one_seed.output_dir)
         assert sizes == [2]  # a single job runs serially, without a pool
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
@@ -423,9 +437,10 @@ class TestSweep:
             raise TypeError("bug in the simulator")
 
         monkeypatch.setattr("feduaf.sweep.run_simulation", broken)
+        monkeypatch.setenv("FEDUAF_THREADS", "1")
         cfg = self.sweep_config(tmp_path)
         with pytest.raises(TypeError, match="bug in the simulator"):
-            run_sweep(cfg, {}, cfg.output_dir, n_workers=1)
+            run_sweep(cfg, {}, cfg.output_dir)
 
 
 class TestPlotData:

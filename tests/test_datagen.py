@@ -133,9 +133,8 @@ class TestInjectMissing:
     def test_empirical_drop_rate(self):
         # pre-restoration drop rate within [0.78, 0.82] at rho=0.8 over
         # 10000 (sample, modality) pairs
-        masks = np.ones((3334, 3), dtype=bool)
-        _, drop_events, _ = draw_missing_masks(masks, 0.8, Rng(2))
-        rate = drop_events.sum() / masks.size
+        _, drop_events, _ = draw_missing_masks(3334, 0.8, Rng(2))
+        rate = drop_events.sum() / drop_events.size
         assert 0.78 <= rate <= 0.82
 
     def test_every_sample_keeps_a_modality(self):
@@ -158,8 +157,7 @@ class TestInjectMissing:
     def test_restoration_rate_matches_rho_cubed(self):
         rho = 0.6
         n = 20000
-        masks = np.ones((n, 3), dtype=bool)
-        _, _, restored = draw_missing_masks(masks, rho, Rng(5))
+        _, _, restored = draw_missing_masks(n, rho, Rng(5))
         p = rho ** 3
         sigma = np.sqrt(p * (1 - p) / n)
         assert abs(restored / n - p) <= 3 * sigma
@@ -167,8 +165,7 @@ class TestInjectMissing:
     def test_drop_events_independent_across_modalities(self):
         # chi-square independence on the pre-restoration drop events (the
         # restoration step intentionally couples the final masks)
-        masks = np.ones((5000, 3), dtype=bool)
-        _, drop_events, _ = draw_missing_masks(masks, 0.4, Rng(8))
+        _, drop_events, _ = draw_missing_masks(5000, 0.4, Rng(8))
         for i in range(3):
             for j in range(i + 1, 3):
                 table = np.zeros((2, 2))

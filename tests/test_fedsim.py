@@ -284,6 +284,30 @@ class TestLocalUpdate:
         with pytest.raises(ConfigError):
             local_update(client, cfg, 1, Rng(9))
 
+    def test_reliability_subsample_is_a_sorted_draw_of_the_rows(self):
+        # more rows than max_samples: the estimate runs on sorted rows drawn
+        # without replacement, and continues on the same stream
+        state, cfg = self.build_state(reliability={"max_samples": 5})
+        whole = smoke_config(reliability={"max_samples": 14})
+        model, train = state.clients[0].model, state.clients[0].data.train.samples
+        assert len(train) == 14
+        rng = Rng(9)
+        rows = np.sort(rng.choice(14, 5, replace=False))
+        want = client_mean_uncertainty(model, batch_from_samples(train, rows), whole, rng)
+        assert client_mean_uncertainty(model, train, cfg, Rng(9)) == want
+
+    def test_reliability_uses_every_row_up_to_max_samples(self, monkeypatch):
+        state, cfg = self.build_state()
+        whole = smoke_config(reliability={"max_samples": 14})
+        model, train = state.clients[0].model, state.clients[0].data.train.samples
+        want = client_mean_uncertainty(model, train, cfg, Rng(9))
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("subsampled a table of max_samples rows")
+
+        monkeypatch.setattr(Rng, "choice", no_draw)
+        assert client_mean_uncertainty(model, train, whole, Rng(9)) == want
+
 
 class TestEvaluateMae:
     def zeroed_state(self):

@@ -29,6 +29,13 @@ def tiny_model(dropout=0.0, seed=0):
                              dropout_rate=dropout, rng=Rng(seed))
 
 
+def grad_buffer(model, fill=np.nan):
+    """A gradient vector laid out like `model.theta`, with the layer views
+    backward_fused writes through; NaN-filled, so an unwritten slot shows."""
+    grad = np.full_like(model.theta, fill)
+    return grad, model.layer_views(grad)
+
+
 def tensor(model, flat, name):
     """The named tensor's view into a vector laid out like `model.theta`."""
     (off, shape), = [(o, s) for n, o, s in model.layout if n == name]
@@ -126,7 +133,7 @@ class TestBackwardFused:
 
         preds, tape = forward_fused(model, feats, alpha, EVAL)
         _, dpreds = mse_loss_batch(preds, labels)
-        analytic = backward_fused(model, tape, dpreds)
+        analytic = backward_fused(model, tape, dpreds, grad_buffer(model))
         numeric = finite_difference_grads(loss_fn, [model.theta])
         assert_grads_close([analytic], numeric)
 
@@ -135,10 +142,10 @@ class TestBackwardFused:
         feats, alpha, labels = random_batch()
         preds, tape = forward_fused(model, feats, alpha, EVAL)
         _, dpreds = mse_loss_batch(preds, labels)
-        grad = np.full_like(model.theta, np.nan)
-        out = backward_fused(model, tape, dpreds, out=(grad, model.layer_views(grad)))
-        assert out is grad
-        assert np.array_equal(grad, backward_fused(model, tape, dpreds))
+        reused = grad_buffer(model)
+        assert backward_fused(model, tape, dpreds, reused) is reused[0]
+        fresh = backward_fused(model, tape, dpreds, grad_buffer(model, fill=0.0))
+        assert np.array_equal(reused[0], fresh)
 
     def test_representation_gradient_scales_with_alpha(self):
         # d(loss)/d(h_m) = alpha_m * d(loss)/d(h): doubling a modality's
@@ -151,7 +158,7 @@ class TestBackwardFused:
             alpha[:, 0] = w_v
             alpha[:, 2] = 1.0 - w_v
             preds, tape = forward_fused(model, feats, alpha, EVAL)
-            g = backward_fused(model, tape, np.ones(4))
+            g = backward_fused(model, tape, np.ones(4), grad_buffer(model))
             grads_by_alpha.append(tensor(model, g, "encoder.v.layers.0.bias"))
         np.testing.assert_allclose(2.0 * grads_by_alpha[0], grads_by_alpha[1],
                                    rtol=1e-9)
@@ -164,7 +171,7 @@ class TestBackwardFused:
         feats, alpha, labels = random_batch(seed=5)
         preds, tape = forward_fused(model, feats, alpha, TRAIN, Rng(77))
         _, dpreds = mse_loss_batch(preds, labels)
-        analytic = backward_fused(model, tape, dpreds)
+        analytic = backward_fused(model, tape, dpreds, grad_buffer(model))
 
         def loss_fn():
             out = np.zeros((len(labels), model.heads.in_dim))
@@ -355,7 +362,8 @@ class TestWeightedRows:
         grads = []
         for batch in (garbage, zeroed):
             preds, tape = forward_fused(model, batch, alpha, TRAIN, Rng(4))
-            grads.append(backward_fused(model, tape, mse_loss_batch(preds, labels)[1]))
+            grads.append(backward_fused(model, tape, mse_loss_batch(preds, labels)[1],
+                                        grad_buffer(model)))
         np.testing.assert_array_equal(grads[0], grads[1])
 
     def test_encoders_forward_only_weighted_rows(self, monkeypatch):
@@ -390,8 +398,7 @@ class TestWeightedRows:
 
         preds, tape = forward_fused(model, feats, alpha, EVAL)
         _, dpreds = mse_loss_batch(preds, labels)
-        grad = np.full_like(model.theta, np.nan)
-        backward_fused(model, tape, dpreds, out=(grad, model.layer_views(grad)))
+        grad = backward_fused(model, tape, dpreds, grad_buffer(model))
         for w, b in model.layer_views(grad)["encoder.a"]:
             assert np.array_equal(w, np.zeros_like(w))
             assert np.array_equal(b, np.zeros_like(b))

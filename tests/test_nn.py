@@ -42,9 +42,15 @@ def layer_arrays(mlp):
     return [a for layer in mlp.layers for a in (layer.weights, layer.bias)]
 
 
-def grad_arrays(grads):
-    """[dw0, db0, dw1, db1, ...], aligned with layer_arrays."""
-    return [a for pair in grads.layers for a in pair]
+def grad_buffers(mlp):
+    """One (d_weights, d_bias) pair of arrays per layer, for backward to fill."""
+    return [(np.empty_like(layer.weights), np.empty_like(layer.bias))
+            for layer in mlp.layers]
+
+
+def grad_arrays(out):
+    """[dw0, db0, dw1, db1, ...] of filled buffers, aligned with layer_arrays."""
+    return [a for pair in out for a in pair]
 
 
 class TestForward:
@@ -97,7 +103,7 @@ class TestForward:
             forward(mlp, np.zeros(3), EVAL)
         _, tape = forward(mlp, np.zeros((1, 3)), EVAL)
         with pytest.raises(ShapeError):
-            backward(mlp, tape, np.zeros(2))
+            backward(mlp, tape, np.zeros(2), grad_buffers(mlp))
 
     def test_nonfinite_input_raises(self):
         mlp = init_mlp([2, 2], Rng(0))
@@ -132,18 +138,20 @@ class TestBackward:
         # y = w*x with w=3, x=1: loss y^2 has dL/dw = 2*y*x = 6
         mlp = single_layer([[3.0]], [0.0])
         out, tape = forward(mlp, np.array([[1.0]]), EVAL)
-        grads = backward(mlp, tape, 2.0 * out)
-        dw, db = grads.layers[0]
+        grads = grad_buffers(mlp)
+        backward(mlp, tape, 2.0 * out, grads)
+        dw, db = grads[0]
         assert dw[0, 0] == pytest.approx(6.0)
         assert db[0] == pytest.approx(2.0 * out[0, 0])
 
     def test_zero_loss_grad_gives_zero_grads(self):
         mlp = init_mlp([3, 5, 2], Rng(3))
         _, tape = forward(mlp, Rng(4).normal(size=(1, 3)), EVAL)
-        grads = backward(mlp, tape, np.zeros((1, 2)))
-        for dw, db in grads.layers:
+        grads = grad_buffers(mlp)
+        input_grad = backward(mlp, tape, np.zeros((1, 2)), grads)
+        for dw, db in grads:
             assert not dw.any() and not db.any()
-        assert not grads.input_grad.any()
+        assert not input_grad.any()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_finite_differences(self, seed):
@@ -159,7 +167,9 @@ class TestBackward:
 
         out, tape = forward(mlp, x, EVAL)
         _, dpreds = mse_loss_batch(out[:, 0], y)
-        analytic = grad_arrays(backward(mlp, tape, dpreds[:, None]))
+        grads = grad_buffers(mlp)
+        backward(mlp, tape, dpreds[:, None], grads)
+        analytic = grad_arrays(grads)
         numeric = finite_difference_grads(loss_fn, layer_arrays(mlp))
         assert_grads_close(analytic, numeric)
 
@@ -168,10 +178,10 @@ class TestBackward:
         x = Rng(4).normal(size=(5, 4))
         g = Rng(5).normal(size=(5, 3))
         _, tape = forward(mlp, x, TRAIN, Rng(6))
-        full = backward(mlp, tape, g)
-        lean = backward(mlp, tape, g, input_grad=False)
-        assert lean.input_grad is None
-        for (dw, db), (dw_full, db_full) in zip(lean.layers, full.layers):
+        full, lean = grad_buffers(mlp), grad_buffers(mlp)
+        assert backward(mlp, tape, g, full) is not None
+        assert backward(mlp, tape, g, lean, input_grad=False) is None
+        for (dw, db), (dw_full, db_full) in zip(lean, full):
             assert np.array_equal(dw, dw_full) and np.array_equal(db, db_full)
 
     def test_dropped_units_get_zero_gradient(self):
@@ -180,8 +190,9 @@ class TestBackward:
         _, tape = forward(mlp, x, TRAIN, Rng(2))
         mask = (Rng(2).random((1, 8)) < 0.5)[0]  # the one mask forward drew
         assert not mask.all() and mask.any()  # seed chosen to mix kept/dropped
-        grads = backward(mlp, tape, np.ones((1, 1)))
-        dw0 = grads.layers[0][0]
+        grads = grad_buffers(mlp)
+        backward(mlp, tape, np.ones((1, 1)), grads)
+        dw0 = grads[0][0]
         # a dropped unit contributes no gradient to its incoming weights
         z = tape.inputs[0][0] @ mlp.layers[0].weights.T + mlp.layers[0].bias
         dropped_rows = ~mask & (z > 0)
@@ -192,7 +203,7 @@ class TestBackward:
         mlp_b = init_mlp([2, 2], Rng(1))
         _, tape = forward(mlp_a, np.zeros((1, 2)), EVAL)
         with pytest.raises(StateError):
-            backward(mlp_b, tape, np.zeros((1, 2)))
+            backward(mlp_b, tape, np.zeros((1, 2)), grad_buffers(mlp_b))
 
 
 class TestAdam:
@@ -223,7 +234,7 @@ class TestAdam:
 
     def test_zero_grad_from_init_is_noop(self):
         w = np.array([1.5, -2.0])
-        state = AdamState.init_for([w])
+        state = AdamState.init_for([w], lr=1e-3)
         adam_step([w], [np.zeros(2)], state)
         assert w.tolist() == [1.5, -2.0]
 
@@ -254,7 +265,7 @@ class TestAdam:
 
     def test_shape_mismatch_raises(self):
         w = np.zeros(3)
-        state = AdamState.init_for([w])
+        state = AdamState.init_for([w], lr=1e-3)
         with pytest.raises(ShapeError):
             adam_step([w], [np.zeros(4)], state)
 
@@ -262,14 +273,15 @@ class TestAdam:
         def train(seed):
             mlp = init_mlp([4, 6, 1], Rng(seed))
             params = layer_arrays(mlp)
-            state = AdamState.init_for(params)
+            state = AdamState.init_for(params, lr=1e-3)
+            grads = grad_buffers(mlp)
             rng = Rng(seed).derive("data")
             for _ in range(25):
                 x = rng.normal(size=(1, 4))
                 out, tape = forward(mlp, x, EVAL)
                 _, dpreds = mse_loss_batch(out[:, 0], np.ones(1))
-                grads = grad_arrays(backward(mlp, tape, dpreds[:, None]))
-                adam_step(params, grads, state)
+                backward(mlp, tape, dpreds[:, None], grads)
+                adam_step(params, grad_arrays(grads), state)
             return params
 
         a = train(11)
@@ -342,8 +354,8 @@ def test_relu_dropout_masks_and_scales():
     assert mask.any() and not mask.all()
     assert np.array_equal(out, np.where(mask, [2.0, 0.0, 4.0], 0.0))
     # backward passes gradient only through kept positive units, scaled alike
-    grads = backward(mlp, tape, np.ones((8, 3)))
-    assert np.array_equal(grads.input_grad, np.where(mask, [2.0, 0.0, 2.0], 0.0))
+    input_grad = backward(mlp, tape, np.ones((8, 3)), grad_buffers(mlp))
+    assert np.array_equal(input_grad, np.where(mask, [2.0, 0.0, 2.0], 0.0))
 
 
 @pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
@@ -358,7 +370,8 @@ def test_gates_match_where_reference_bit_for_bit(mode, dropout_rate):
     x = rng.normal(size=(7, 5))
     g = rng.normal(size=(7, 3))
     out, tape = forward(mlp, x, mode, Rng(8))
-    grads = backward(mlp, tape, g)
+    grads = grad_buffers(mlp)
+    input_grad = backward(mlp, tape, g, grads)
 
     draws = Rng(8)
     keep = 1.0 - dropout_rate
@@ -386,10 +399,10 @@ def test_gates_match_where_reference_bit_for_bit(mode, dropout_rate):
             gz = np.where(z > 0.0, g, 0.0)
         else:
             gz = np.where((z > 0.0) & mask, g / keep, 0.0)
-        np.testing.assert_array_equal(grads.layers[i][0], gz.T @ inputs[i])
-        np.testing.assert_array_equal(grads.layers[i][1], gz.sum(axis=0))
+        np.testing.assert_array_equal(grads[i][0], gz.T @ inputs[i])
+        np.testing.assert_array_equal(grads[i][1], gz.sum(axis=0))
         g = gz @ layer.weights
-    np.testing.assert_array_equal(grads.input_grad, g)
+    np.testing.assert_array_equal(input_grad, g)
     # one gate per hidden layer; the affine output layer has none
     assert len(tape.gates) == last
 

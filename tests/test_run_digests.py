@@ -27,9 +27,11 @@ FIXTURE_RUN = {"training": {"rounds": 2, "local_epochs": 2}, "model": {"hidden_d
 SEED = 3
 
 
-def smoke(**model):
+def smoke(**overrides):
+    """The smoke workload's config; a dict override merges into its section."""
     raw = workloads.config_dict("smoke", SEED, "unused")
-    raw["model"] = {**raw["model"], **model}
+    for key, val in overrides.items():
+        raw[key] = {**raw[key], **val} if isinstance(val, dict) else val
     return raw
 
 
@@ -41,10 +43,14 @@ def digest(path) -> str:
 @pytest.mark.parametrize("raw, n_threads, pinned", [
     (smoke(), 1, "065ac904653fd12e/baa161b8c7dba25a"),
     (smoke(), 2, "065ac904653fd12e/baa161b8c7dba25a"),
-    (smoke(dropout=0.7), 2, "2c6644e3a033a3bd/ec84e101c71bd2bd"),
+    (smoke(model={"dropout": 0.7}), 2, "2c6644e3a033a3bd/ec84e101c71bd2bd"),
+    (smoke(strategy="fedprox", ablation={"ua_fusion": False}), 1,
+     "da59673b03338704/8984563dcfa2594d"),
+    (smoke(ablation={"rel_agg": False}), 2, "bfc02db176114566/21a236878be19b4e"),
     (FIXTURE_RUN, 1, "8a4a4ad0ea389466/5a4ddaa792f21312"),
     (dict(FIXTURE_RUN, share_encoders=True), 1, "0dd8a51aa68e8c97/a56eb6e211f598fe"),
-], ids=["smoke-t1", "smoke-t2", "smoke-dropout0.7", "fixture", "fixture-share-encoders"])
+], ids=["smoke-t1", "smoke-t2", "smoke-dropout0.7", "smoke-fedprox-uniform-fusion",
+       "smoke-uniform-agg", "fixture", "fixture-share-encoders"])
 def test_run_bytes_pinned(tmp_path, raw, n_threads, pinned):
     run_dir = str(tmp_path / "run")
     run_simulation(config_from_dict(dict(raw, output_dir=run_dir)), SEED, run_dir,
