@@ -4,7 +4,7 @@ Subcommands: gen-data (write a synthetic federation as JSONL), run (single
 training run), sweep (grid x seeds with CSV aggregation), plotdata (tidy
 per-figure CSVs from a sweep). Exit codes: 0 success, 1 config/validation
 error, 2 runtime/numeric error, a failure to write outputs or a size that
-cannot be allocated.
+cannot be allocated or that numpy cannot represent.
 """
 
 from __future__ import annotations
@@ -17,6 +17,11 @@ from .config import FederationSpec, from_dict, parse_config, read_json
 from .datagen import generate_federation, save_jsonl
 from .exceptions import CONFIG_EXIT_ERRORS, ConfigError, FeduafError
 from .sweep import emit_plotdata, run_sweep
+
+# how numpy refuses an array size it cannot represent; any other ValueError
+# or OverflowError is a bug and keeps its traceback
+UNREPRESENTABLE = ("array is too big", "Maximum allowed dimension exceeded",
+                   "Python int too large to convert to C")
 
 
 def _cmd_gen_data(args) -> int:
@@ -103,7 +108,11 @@ def main(argv=None) -> int:
     except CONFIG_EXIT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FeduafError, OSError, MemoryError) as exc:
+    except (FeduafError, OSError, MemoryError, ValueError, OverflowError) as exc:
+        if isinstance(exc, (ValueError, OverflowError)):
+            if not str(exc).startswith(UNREPRESENTABLE):
+                raise
+            exc = f"a size numpy cannot represent: {exc}"
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,9 +5,9 @@ defaults for rounds/epochs/lr/passes/hidden width are the protocol's
 reference values (R=100, E=5, lr=1e-3, T=5, width 128). Parsing is strict:
 unknown keys and out-of-range values are errors that name the key.
 
-Each field declares its default and its rule once, next to each other;
-`from_dict` parses JSON objects and `check_fields` checks objects built in
-Python, both from those declarations. This module imports only
+Each field declares its default and its rule once, next to each other, and
+`from_dict`, the one validator, checks a JSON object against them (an
+object built in Python goes through it as a dict). This module imports only
 `exceptions`, so every other module can import from it.
 """
 
@@ -36,6 +36,13 @@ def is_finite_number(v) -> bool:
     exactly, so ±inf, NaN and an int too large for float64 fail it."""
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
             and abs(v) <= sys.float_info.max)
+
+
+def is_text(v) -> bool:
+    """A non-empty string with no NUL and no lone surrogate (JSON can spell
+    both), so it encodes as UTF-8 and can name a file."""
+    return (isinstance(v, str) and v != "" and "\0" not in v
+            and not any("\ud800" <= c <= "\udfff" for c in v))
 
 
 def is_finite_list(v) -> bool:
@@ -73,8 +80,8 @@ def _bool(default):
 
 
 def _text(default, nullable: bool = False):
-    return _rule(default, "a non-empty string",
-                 lambda v: isinstance(v, str) and v != "", nullable)
+    return _rule(default, "a non-empty string with no NUL or lone surrogate",
+                 is_text, nullable)
 
 
 @dataclass
@@ -90,9 +97,6 @@ class FederationSpec:
     seed: int | None = _int(None, 0, nullable=True)
     feature_dim: int = _int(20, 1)
     latent_dim: int = _int(8, 1)
-
-    def validate(self):
-        check_fields(self)
 
 
 @dataclass
@@ -192,16 +196,6 @@ def from_dict(cls, raw, path: str = ""):
             _check(f, raw[f.name], key)
             values[f.name] = copy.deepcopy(raw[f.name])
     return cls(**values)
-
-
-def check_fields(obj, path: str = ""):
-    """Apply every field rule to a config dataclass built in Python."""
-    for f in fields(obj):
-        value, key = getattr(obj, f.name), _key(path, f.name)
-        if is_dataclass(f.default_factory):
-            check_fields(value, key)
-        else:
-            _check(f, value, key)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

@@ -12,12 +12,12 @@ speakers: one client, one style.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .config import (FederationSpec, is_finite_list, is_finite_number, open_input,
-                     unique_keys)
+from .config import (FederationSpec, from_dict, is_finite_list, is_finite_number,
+                     is_text, open_input, unique_keys)
 from .exceptions import ConfigError, ParseError, ValidationError
 from .fusion import MODALITIES
 from .rng import Rng
@@ -88,7 +88,7 @@ def generate_federation(spec: FederationSpec) -> list:
     Missing-modality masks (one stream per split) and noisy-client marking
     are applied here so the result is ready for training.
     """
-    spec.validate()
+    from_dict(FederationSpec, asdict(spec))
     master = Rng(spec.seed).derive("datagen")
     w = master.derive("label_weights").normal(size=spec.latent_dim)
     w *= LABEL_WEIGHT_NORM / np.linalg.norm(w)
@@ -102,7 +102,8 @@ def generate_federation(spec: FederationSpec) -> list:
     for k in range(spec.num_clients):
         cid = f"spk{k:03d}"
         crng = master.derive("client", k)
-        style = crng.normal(0.0, 2.0 * spec.noniid_intensity)
+        # abs: numpy rejects the scale of an intensity given as -0.0
+        style = crng.normal(0.0, abs(2.0 * spec.noniid_intensity))
         z = crng.normal(size=(n, spec.latent_dim))
         eta = crng.normal(0.0, LABEL_NOISE_STD, size=n)
         labels = np.clip(z @ w + style + eta, *LABEL_RANGE)
@@ -114,8 +115,8 @@ def generate_federation(spec: FederationSpec) -> list:
         for split, (lo, hi) in zip(("train", "val", "test"), _split_bounds(n)):
             mask = np.ones((hi - lo, len(MODALITIES)), dtype=bool)
             if spec.missing_ratio > 0.0:
-                mask, _, _ = draw_missing_masks(hi - lo, spec.missing_ratio,
-                                                crng.derive("missing", split))
+                mask = draw_missing_masks(hi - lo, spec.missing_ratio,
+                                          crng.derive("missing", split))
             splits.append(ClientDataset(cid, Samples(
                 {m: np.where(mask[:, mi:mi + 1], feats[m][lo:hi], 0.0)
                  for mi, m in enumerate(MODALITIES)},
@@ -129,20 +130,15 @@ def draw_missing_masks(n: int, rho_m: float, rng: Rng):
     modality) bit drops independently with probability rho_m.
 
     A sample that would lose every modality gets one restored, uniformly at
-    random. Returns (masks, drop_events, restored_count) where drop_events
-    is the raw (n, 3) bool matrix of drop draws.
+    random. Returns the (n, 3) bool masks.
     """
     out = np.ones((n, len(MODALITIES)), dtype=bool)
-    drop_events = np.zeros_like(out)
-    restored = 0
     for i in range(n):
         dropped = rng.random(len(MODALITIES)) < rho_m
-        drop_events[i] = dropped
         out[i] = ~dropped
         if dropped.all():
             out[i, rng.integers(0, len(MODALITIES))] = True
-            restored += 1
-    return out, drop_events, restored
+    return out
 
 
 def mark_noisy_clients(clients: list, noisy_ratio: float, rng: Rng) -> list:
@@ -151,9 +147,7 @@ def mark_noisy_clients(clients: list, noisy_ratio: float, rng: Rng) -> list:
         raise ConfigError(f"noisy_ratio must be in [0, 1], got {noisy_ratio}")
     k = len(clients)
     n_noisy = int(round(noisy_ratio * k))
-    chosen = set()
-    if n_noisy > 0:
-        chosen = set(int(i) for i in rng.choice(k, size=n_noisy, replace=False))
+    chosen = set(int(i) for i in rng.choice(k, size=n_noisy, replace=False))
     return [replace(c, is_noisy=i in chosen) for i, c in enumerate(clients)]
 
 
@@ -212,8 +206,9 @@ def _parse_line(line: str, where: str, dims_seen: dict) -> tuple:
     if missing:
         raise ValidationError(f"{where}: missing keys {sorted(missing)}")
     cid = rec["client_id"]
-    if not isinstance(cid, str) or not cid:
-        raise ValidationError(f"{where}: client_id must be a non-empty string")
+    if not is_text(cid):
+        raise ValidationError(
+            f"{where}: client_id must be a non-empty string with no NUL or lone surrogate")
     mask_rec = rec["mask"]
     if not isinstance(mask_rec, dict) or set(mask_rec) != set(MODALITIES):
         raise ValidationError(f"{where}: mask must have exactly keys {MODALITIES}")

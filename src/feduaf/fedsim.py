@@ -45,7 +45,7 @@ from .model import (
     forward_fused,
     init_model_params,
 )
-from .nn import TRAIN, AdamState, adam_step, mse_loss_batch
+from .nn import AdamState, adam_step, mse_loss_batch
 from .rng import Rng
 from .serialize import save_params
 from .uncertainty import fused_uncertainties, probe_uncertainties
@@ -57,13 +57,6 @@ class ClientUpdate:
     shared_params: list  # named tensors
     reliability: float
     num_samples: int
-
-
-@dataclass
-class LocalStats:
-    batch_losses: list
-    mean_loss: float
-    mean_uncertainty: float
 
 
 @dataclass
@@ -153,8 +146,6 @@ def perturb_update(tensors: list, gamma: float, rng: Rng) -> list:
     """Add zero-mean Gaussian noise scaled per tensor by gamma * its std."""
     if gamma < 0:
         raise ConfigError(f"gamma must be >= 0, got {gamma}")
-    if gamma == 0.0:
-        return [(name, arr.copy()) for name, arr in tensors]
     out = []
     for name, arr in tensors:
         std = float(arr.std())
@@ -203,7 +194,7 @@ def local_update(client: ClientRuntime, config, round_index: int, rng: Rng):
     uncertainty, upload. `run_round` reports a NumericError raised here as
     this client diverging in round `round_index`.
 
-    Returns (ClientUpdate, LocalStats).
+    Returns (ClientUpdate, mean batch loss).
     """
     cid = client.data.client_id
     train = client.data.train.samples
@@ -226,7 +217,7 @@ def local_update(client: ClientRuntime, config, round_index: int, rng: Rng):
         for start in range(0, n, batch):
             rows = batch_from_samples(train, perm[start:start + batch])
             alpha = _batch_fusion_weights(client.model, rows, config, rng)
-            preds, tape = forward_fused(client.model, rows.feats, alpha, TRAIN, rng)
+            preds, tape = forward_fused(client.model, rows.feats, alpha, rng)
             loss, dpreds = mse_loss_batch(preds, rows.labels)
             if not np.isfinite(loss):
                 raise NumericError("non-finite loss")
@@ -242,18 +233,20 @@ def local_update(client: ClientRuntime, config, round_index: int, rng: Rng):
     # reliability reflects the model as uploaded (perturbation included)
     u_bar = client_mean_uncertainty(client.model, train, config, rng)
     reliability = 1.0 / (u_bar + config.reliability.epsilon)
-    update = ClientUpdate(cid, upload, reliability, n)
     mean_loss = float(np.mean(losses)) if losses else 0.0
-    return update, LocalStats(losses, mean_loss, u_bar)
+    return ClientUpdate(cid, upload, reliability, n), mean_loss
 
 
 # -------------------------------------------------------------- evaluation
 
+# as in training, a non-finite value ends in a NumericError or in fusion's
+# masking, not in numpy's overflow warnings
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate_mae(clients: list, config, rng: Rng, collect: list | None = None) -> float:
     """Average over clients of the mean absolute error on their test split,
     one client after another.
 
-    Predictions are deterministic eval-mode forwards; fusion weights still
+    Predictions are deterministic forwards without an rng; fusion weights still
     come from stochastic probe passes when uncertainty fusion is on, each
     client on its own stream `rng.derive(client_id)`. Pass `collect` to
     receive per-sample (prediction, label) records, in client order.
@@ -319,23 +312,22 @@ def run_round(state: FederationState, config, run_rng: Rng,
         except NumericError as exc:
             raise NumericError(f"round {r}: client {cid!r} diverged: {exc}") from exc
 
+    # in client_id order: `selected` is sorted and so is state.clients
     results = _map(work, selected, n_threads)
-    updates = [res[0] for res in results]
-    stats = {u.client_id: s for u, s in zip(updates, (res[1] for res in results))}
+    updates = [update for update, _ in results]
     strategy = effective_strategy(config)
-    ordered = sorted(updates, key=lambda u: u.client_id)
-    weights = aggregation_weights(ordered, strategy)
-    state.shared = aggregate(ordered, strategy)
+    weights = aggregation_weights(updates, strategy)
+    state.shared = aggregate(updates, strategy)
     for client in state.clients:
         assign_shared(client.model, state.shared, config.share_encoders)
     mae = evaluate_mae(state.clients, config, run_rng.derive("eval", r))
     report = RoundReport(
         round=r,
-        train_loss={u.client_id: stats[u.client_id].mean_loss for u in ordered},
+        train_loss={u.client_id: loss for u, loss in results},
         test_mae=mae,
-        mean_reliability=float(np.mean([u.reliability for u in ordered])),
-        weights={u.client_id: float(w) for u, w in zip(ordered, weights)},
-        reliabilities={u.client_id: float(u.reliability) for u in ordered},
+        mean_reliability=float(np.mean([u.reliability for u in updates])),
+        weights={u.client_id: float(w) for u, w in zip(updates, weights)},
+        reliabilities={u.client_id: float(u.reliability) for u in updates},
     )
     state.round_index = r
     state.reports.append(report)

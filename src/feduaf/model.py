@@ -24,7 +24,7 @@ import numpy as np
 
 from .exceptions import NumericError, ShapeError
 from .fusion import MODALITIES, fuse_batch, weighted_rows
-from .nn import EVAL, TRAIN, Mlp, Tape, backward, forward, init_mlp
+from .nn import Mlp, Tape, backward, forward, init_mlp
 from .rng import Rng
 
 
@@ -142,18 +142,18 @@ class FusedTape:
     weights: dict  # modality -> (len(rows[m]), 1) fusion weights of those rows
 
 
-def _run_heads(model: ModelParams, h: np.ndarray, mode: str, rng: Rng | None):
+def _run_heads(model: ModelParams, h: np.ndarray, rng: Rng | None):
     """The heads' forward call; (output (B, 1), tape). Raises NumericError
     on a non-finite output, which is also where a non-finite hidden output
     shows."""
-    out, tape = forward(model.heads, h, mode, rng)
+    out, tape = forward(model.heads, h, rng)
     if not np.isfinite(out).all():
         raise NumericError("non-finite values in the heads' output")
     return out, tape
 
 
 def forward_fused(model: ModelParams, feats: dict, alpha: np.ndarray,
-                  mode: str = EVAL, rng: Rng | None = None):
+                  rng: Rng | None = None):
     """Full pipeline on a batch: encoders -> weighted fusion -> heads.
 
     `feats[m]` is (B, d_m); `alpha` is (B, 3) in v/a/t order and is treated
@@ -170,8 +170,8 @@ def forward_fused(model: ModelParams, feats: dict, alpha: np.ndarray,
         if len(feat) != b:
             raise ShapeError(f"features of {m!r} have {len(feat)} rows, weights {b}")
         reps[m], enc_tapes[m] = forward(model.encoders[m], feat.take(rows[m], axis=0),
-                                        mode, rng, rows=(b, rows[m]))
-    out, head_tape = _run_heads(model, fuse_batch(reps, weights, rows, b), mode, rng)
+                                        rng, rows=(b, rows[m]))
+    out, head_tape = _run_heads(model, fuse_batch(reps, weights, rows, b), rng)
     return out[:, 0], FusedTape(enc_tapes, head_tape, rows, weights)
 
 
@@ -209,9 +209,9 @@ def probe_predictions(model: ModelParams, feats: dict, mask: np.ndarray,
     reps = []
     for mi, m in enumerate(MODALITIES):
         rows = np.asarray(feats[m], dtype=np.float64)[mask[:, mi]]
-        rep, _ = forward(model.encoders[m], np.tile(rows, (T, 1)), TRAIN, rng)
+        rep, _ = forward(model.encoders[m], np.tile(rows, (T, 1)), rng)
         reps.append(rep)
-    out, _ = _run_heads(model, np.concatenate(reps), TRAIN, rng)
+    out, _ = _run_heads(model, np.concatenate(reps), rng)
     counts = mask.sum(axis=0)
     parts = np.split(out[:, 0], T * np.cumsum(counts)[:-1])
     return {m: part.reshape(T, n) for m, part, n in zip(MODALITIES, parts, counts)}
@@ -225,5 +225,5 @@ def fused_mc_predictions(model: ModelParams, feats: dict, alpha: np.ndarray,
     tiled_feats = {m: np.tile(np.asarray(feats[m], dtype=np.float64), (T, 1))
                    for m in MODALITIES}
     tiled_alpha = np.tile(alpha, (T, 1))
-    preds, _ = forward_fused(model, tiled_feats, tiled_alpha, TRAIN, rng)
+    preds, _ = forward_fused(model, tiled_feats, tiled_alpha, rng)
     return preds.reshape(T, b)

@@ -2,10 +2,10 @@
 
 Networks are small MLPs over (B, d) float64 batches, and every one has
 the same shape: each layer but the last is affine, then relu, then inverted
-dropout (train mode scales kept units by 1/keep so eval needs no
-rescaling); the last layer is a plain affine map. Backprop is hand-derived
-for this fixed structure and checked against finite differences in the test
-suite.
+dropout (a pass given an `Rng` draws the masks and scales kept units by
+1/keep, so a pass without one needs no rescaling); the last layer is a plain
+affine map. Backprop is hand-derived for this fixed structure and checked
+against finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ import numpy as np
 
 from .exceptions import ConfigError, NumericError, ShapeError, StateError
 from .rng import Rng
-
-TRAIN = "train"
-EVAL = "eval"
 
 
 @dataclass
@@ -105,19 +102,17 @@ def _as_batch(x: np.ndarray, dim: int, what: str) -> np.ndarray:
     return x
 
 
-def forward(mlp: Mlp, x: np.ndarray, mode: str = EVAL, rng: Rng | None = None,
-            rows=None):
+def forward(mlp: Mlp, x: np.ndarray, rng: Rng | None = None, rows=None):
     """Run the MLP on a (B, in_dim) batch; returns (output, tape).
 
-    Train mode draws fresh inverted-dropout masks from `rng` after each relu
-    (no draw when dropout_rate is 0, so rate-0 train equals eval exactly).
-    Eval mode is deterministic and consumes no randomness. `rows=(B, idx)`
+    Given an `rng`, the pass draws fresh inverted-dropout masks from it after
+    each relu (no draw when dropout_rate is 0, so a rate-0 pass equals one
+    without an rng exactly). Without an rng the pass is deterministic and
+    consumes no randomness. `rows=(B, idx)`
     says that `x` holds rows `idx` of a B-row batch: each dropout layer then
     draws the mask of the whole (B, out_dim) batch and keeps rows `idx`, so
     the random stream does not depend on which rows are computed.
     """
-    if mode not in (TRAIN, EVAL):
-        raise ConfigError(f"mode must be '{TRAIN}' or '{EVAL}', got {mode!r}")
     layers = mlp.layers
     a = _as_batch(x, layers[0].weights.shape[1], "input")
     if not np.isfinite(a).all():
@@ -125,9 +120,7 @@ def forward(mlp: Mlp, x: np.ndarray, mode: str = EVAL, rng: Rng | None = None,
     if rows is not None and len(rows[1]) != a.shape[0]:
         raise ShapeError(f"{len(rows[1])} row indices for {a.shape[0]} input rows")
     n, idx = (a.shape[0], slice(None)) if rows is None else rows
-    use_dropout = mode == TRAIN and mlp.dropout_rate > 0.0
-    if use_dropout and rng is None:
-        raise ConfigError("train-mode forward with dropout requires an rng")
+    use_dropout = rng is not None and mlp.dropout_rate > 0.0
     keep = 1.0 - mlp.dropout_rate if use_dropout else 1.0
     inputs, gates = [], []
     for i, layer in enumerate(layers):

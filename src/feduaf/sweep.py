@@ -33,7 +33,6 @@ CSV_COLUMNS = ("dataset_tag", "rho_m", "noniid", "noisy_ratio", "strategy",
 
 @dataclass
 class SweepCell:
-    point: dict
     config: ExperimentConfig
     maes: list
     errors: list
@@ -66,10 +65,6 @@ def parse_grid(raw: dict) -> list:
     for a in axes:
         if not isinstance(raw[a], list) or not raw[a]:
             raise ConfigError(f"grid axis {a!r} must be a non-empty list")
-        if a == "strategy" and not all(v in STRATEGIES for v in raw[a]):
-            raise ConfigError(f"grid axis 'strategy' values must be in {STRATEGIES}")
-    if not axes:
-        return [{}]
     return [dict(zip(axes, combo))
             for combo in itertools.product(*(raw[a] for a in axes))]
 
@@ -101,16 +96,14 @@ def run_sweep(config: ExperimentConfig, grid_raw: dict, out_dir) -> SweepResult:
     """Run every grid point x seed on FEDUAF_THREADS worker processes and
     write sweep.csv under out_dir."""
     n_workers = threads_from_env()
-    points = parse_grid(grid_raw)
-    os.makedirs(out_dir, exist_ok=True)
-    cells = []
+    cells = [SweepCell(apply_point(config, point), [], [])
+             for point in parse_grid(grid_raw)]
+    os.makedirs(out_dir, exist_ok=True)  # a grid that fails validation leaves no directory
     jobs = []
-    for ci, point in enumerate(points):
-        cell_config = apply_point(config, point)
-        cells.append(SweepCell(point, cell_config, [], []))
+    for ci, cell in enumerate(cells):
         for seed in config.seeds:
             run_dir = os.path.join(out_dir, f"cell{ci:03d}", f"seed{seed}")
-            jobs.append((ci, (cell_config.to_dict(), seed, run_dir)))
+            jobs.append((ci, (cell.config.to_dict(), seed, run_dir)))
     n_workers = min(n_workers, len(jobs))  # a pool forks all its workers up front
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:

@@ -51,6 +51,13 @@ def assert_names_directory(err, path):
     assert err.startswith("error: ") and f"is a directory: {path}" in err
 
 
+def unallocatable_message(size) -> str:
+    """How the CLI reports an array of `size` rows it cannot make."""
+    if size >= 2**60:
+        return "runtime error: a size numpy cannot represent: "
+    return "runtime error: Unable to allocate "
+
+
 class TestCli:
     def test_gen_data_writes_loadable_jsonl(self, tmp_path, capsys):
         spec = write_json(tmp_path / "spec.json",
@@ -176,24 +183,64 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("section, key, value", [("model", "hidden_dim", 10**13),
-                                                     ("uncertainty", "passes", 10**14)])
+                                                     ("uncertainty", "passes", 10**14)] + [
+        (section, key, value) for value in (2**60, 2**63)
+        for section, key in (("model", "hidden_dim"), ("model", "fusion_dim"),
+                             ("uncertainty", "passes"), ("federation", "samples_per_client"),
+                             ("federation", "feature_dim"), ("federation", "latent_dim"))])
     def test_unallocatable_run_size_exits_2(self, tmp_path, capsys, section, key, value):
         # the first array of this size exceeds 2**48 bytes, which no address
-        # space holds, so the allocation fails under any overcommit setting
+        # space holds, so the allocation fails under any overcommit setting;
+        # from 2**60 numpy cannot even represent the array's size
         path = write_json(tmp_path / "config.json",
                           dict(SMALL_RUN, output_dir=str(tmp_path / "out"),
-                               **{section: {key: value}}))
+                               **{section: {**SMALL_RUN.get(section, {}), key: value}}))
         assert main(["run", "--config", path]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("runtime error: Unable to allocate ") and err.count("\n") == 1
+        assert err.startswith(unallocatable_message(value)) and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_unallocatable_gen_data_size_exits_2(self, tmp_path, capsys):
-        spec = write_json(tmp_path / "spec.json",
-                          dict(GEN_DATA_SPEC, samples_per_client=10**14))
-        assert main(["gen-data", "--spec", spec, "--out", str(tmp_path / "x.jsonl")]) == 2
+        for key, value in [("samples_per_client", 10**14)] + [
+                (key, value) for key in ("samples_per_client", "feature_dim")
+                for value in (2**60, 2**63)]:
+            spec = write_json(tmp_path / "spec.json", dict(GEN_DATA_SPEC, **{key: value}))
+            assert main(["gen-data", "--spec", spec, "--out", str(tmp_path / "x.jsonl")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(unallocatable_message(value)) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["output_dir", "data_path"])
+    @pytest.mark.parametrize("char", ["\0", "\ud800"], ids=["nul", "surrogate"])
+    def test_unusable_path_string_exits_1(self, tmp_path, capsys, key, char):
+        # neither can name a file: open() rejects a NUL and UTF-8 a lone surrogate
+        out = tmp_path / "out"
+        raw = dict(SMALL_RUN, output_dir=str(out))
+        raw[key] = str(tmp_path / f"x{char}y")
+        assert main(["run", "--config", write_json(tmp_path / "config.json", raw)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("runtime error: Unable to allocate ") and err.count("\n") == 1
+        assert err.startswith(f"error: config key '{key}' expects ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_surrogate_client_id_exits_1(self, tmp_path, capsys):
+        # the id keys the client's random streams, which hash its UTF-8 bytes
+        data = tmp_path / "data.jsonl"
+        data.write_text(GOOD_LINE * 2 + GOOD_LINE.replace('"c"', '"\\ud800"') * 2)
+        out = tmp_path / "out"
+        path = write_json(tmp_path / "config.json",
+                          dict(SMALL_RUN, data_path=str(data), output_dir=str(out)))
+        assert main(["run", "--config", path]) == 1
+        assert capsys.readouterr().err == (f"error: {data}: line 3: client_id must be a "
+                                           "non-empty string with no NUL or lone surrogate\n")
+        assert not out.exists()
+
+    def test_sweep_bad_grid_value_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        path = write_json(tmp_path / "config.json", dict(SMALL_RUN, output_dir=str(out)))
+        grid = write_json(tmp_path / "grid.json", {"missing_ratio": [0.2, 2.0]})
+        assert main(["sweep", "--config", path, "--grid", grid]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'federation.missing_ratio' expects ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "", "1_0", " 2 ", "+2", "\u0663"])
     def test_bad_thread_env_exits_1(self, tmp_path, capsys, monkeypatch, value):
@@ -318,9 +365,14 @@ class TestGrid:
         with pytest.raises(ConfigError, match="batch_size"):
             parse_grid({"batch_size": [1]})
 
-    def test_bad_strategy_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_grid({"strategy": ["nope"]})
+    def test_bad_strategy_rejected(self, tmp_path, capsys):
+        # every cell config is built before anything is written
+        out = tmp_path / "sweep"
+        path = write_json(tmp_path / "config.json", dict(SMALL_RUN, output_dir=str(out)))
+        grid = write_json(tmp_path / "grid.json", {"strategy": ["uniform", "nope"]})
+        assert main(["sweep", "--config", path, "--grid", grid]) == 1
+        assert capsys.readouterr().err.startswith("error: config key 'strategy' expects ")
+        assert not out.exists()
 
 
 class TestSweep:

@@ -7,7 +7,7 @@ from dataclasses import fields, is_dataclass
 
 import pytest
 
-from feduaf.config import ExperimentConfig, check_fields, config_from_dict, parse_config
+from feduaf.config import ExperimentConfig, config_from_dict, from_dict, parse_config
 from feduaf.exceptions import ConfigError, ParseError
 
 
@@ -64,7 +64,8 @@ WRONG_VALUES = {
 
 
 def test_every_field_rejects_wrong_types():
-    check_fields(config_from_dict({}))  # the declared defaults obey their rules
+    # the declared defaults obey their rules
+    from_dict(ExperimentConfig, config_from_dict({}).to_dict())
     sections = [("", ExperimentConfig)] + [
         (f.name, f.default_factory) for f in fields(ExperimentConfig)
         if is_dataclass(f.default_factory)]

@@ -124,6 +124,28 @@ class TestGenerateFederation:
                 generate_federation(FederationSpec(**{"num_clients": 3, **bad}))
 
 
+def draw_masks_recording(n, rho, seed):
+    """draw_missing_masks(n, rho, Rng(seed)), with the drop events its
+    stream's `random` draws make, (n, 3) bool, and the restored rows."""
+    rng = Rng(seed)
+    draws = []
+    random = rng.random
+
+    def recording(size=None):
+        draws.append(random(size))
+        return draws[-1]
+
+    rng.random = recording
+    masks = draw_missing_masks(n, rho, rng)
+    drop_events = np.array(draws) < rho
+    restored = drop_events.all(axis=1)
+    assert drop_events.shape == masks.shape == (n, len(MODALITIES))
+    # a row keeps what it did not drop, and a row that dropped all gets one back
+    assert np.array_equal(masks[~restored], ~drop_events[~restored])
+    assert (masks[restored].sum(axis=1) == 1).all()
+    return masks, drop_events, restored
+
+
 class TestInjectMissing:
     def generate(self, rho, seed):
         spec = FederationSpec(num_clients=3, samples_per_client=100,
@@ -133,7 +155,7 @@ class TestInjectMissing:
     def test_empirical_drop_rate(self):
         # pre-restoration drop rate within [0.78, 0.82] at rho=0.8 over
         # 10000 (sample, modality) pairs
-        _, drop_events, _ = draw_missing_masks(3334, 0.8, Rng(2))
+        _, drop_events, _ = draw_masks_recording(3334, 0.8, 2)
         rate = drop_events.sum() / drop_events.size
         assert 0.78 <= rate <= 0.82
 
@@ -157,15 +179,15 @@ class TestInjectMissing:
     def test_restoration_rate_matches_rho_cubed(self):
         rho = 0.6
         n = 20000
-        _, _, restored = draw_missing_masks(n, rho, Rng(5))
+        _, _, restored = draw_masks_recording(n, rho, 5)
         p = rho ** 3
         sigma = np.sqrt(p * (1 - p) / n)
-        assert abs(restored / n - p) <= 3 * sigma
+        assert abs(restored.sum() / n - p) <= 3 * sigma
 
     def test_drop_events_independent_across_modalities(self):
         # chi-square independence on the pre-restoration drop events (the
         # restoration step intentionally couples the final masks)
-        _, drop_events, _ = draw_missing_masks(5000, 0.4, Rng(8))
+        _, drop_events, _ = draw_masks_recording(5000, 0.4, 8)
         for i in range(3):
             for j in range(i + 1, 3):
                 table = np.zeros((2, 2))

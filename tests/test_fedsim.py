@@ -9,6 +9,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import feduaf.fedsim
 import feduaf.model
 from feduaf.config import config_from_dict
 from feduaf.datagen import ClientData, ClientDataset, Samples, batch_from_samples
@@ -196,41 +197,60 @@ class TestFedproxPenalty:
         assert g[0] == pytest.approx(0.01)
 
 
+def record(monkeypatch, name):
+    """The values feduaf.fedsim's `name` returns from now on, in call order."""
+    seen = []
+    fn = getattr(feduaf.fedsim, name)
+
+    def recording(*args, **kwargs):
+        seen.append(fn(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(feduaf.fedsim, name, recording)
+    return seen
+
+
 class TestLocalUpdate:
     def build_state(self, **overrides):
         cfg = smoke_config(**overrides)
         return init_federation(cfg, 1), cfg
 
-    def test_zero_epochs_uploads_broadcast_bit_exact(self):
+    def test_zero_epochs_uploads_broadcast_bit_exact(self, monkeypatch):
         state, cfg = self.build_state(training={"local_epochs": 0})
         client = state.clients[0]
-        update, stats = local_update(client, cfg, 1, Rng(9))
+        losses = record(monkeypatch, "mse_loss_batch")
+        update, mean_loss = local_update(client, cfg, 1, Rng(9))
         broadcast = dict(state.shared)
         assert len(update.shared_params) == len(broadcast)
         for name, arr in update.shared_params:
             assert np.array_equal(arr, broadcast[name])
         assert update.reliability > 0.0
-        assert stats.batch_losses == []
+        assert losses == [] and mean_loss == 0.0
 
     def test_upload_contains_only_shared_head(self):
         state, cfg = self.build_state()
         update, _ = local_update(state.clients[0], cfg, 1, Rng(9))
         assert all(n.startswith("shared_head.") for n, _ in update.shared_params)
 
-    def test_reliability_formula(self):
+    def test_reliability_formula(self, monkeypatch):
         # r = 1 / (u_bar + eps)
         state, cfg = self.build_state()
-        update, stats = local_update(state.clients[0], cfg, 1, Rng(9))
-        expected = 1.0 / (stats.mean_uncertainty + cfg.reliability.epsilon)
+        u_bars = record(monkeypatch, "client_mean_uncertainty")
+        update, _ = local_update(state.clients[0], cfg, 1, Rng(9))
+        [u_bar] = u_bars
+        expected = 1.0 / (u_bar + cfg.reliability.epsilon)
         assert update.reliability == pytest.approx(expected, rel=1e-6)
-        if stats.mean_uncertainty == pytest.approx(0.25):
+        if u_bar == pytest.approx(0.25):
             assert update.reliability == pytest.approx(4.0, abs=1e-6)
 
-    def test_training_reduces_loss_on_average(self):
+    def test_training_reduces_loss_on_average(self, monkeypatch):
         state, cfg = self.build_state(training={"local_epochs": 60, "lr": 0.01})
-        _, stats = local_update(state.clients[0], cfg, 1, Rng(9))
-        k = len(stats.batch_losses) // 4
-        assert np.mean(stats.batch_losses[-k:]) < np.mean(stats.batch_losses[:k])
+        calls = record(monkeypatch, "mse_loss_batch")
+        _, mean_loss = local_update(state.clients[0], cfg, 1, Rng(9))
+        losses = [loss for loss, _ in calls]
+        assert mean_loss == np.mean(losses)
+        k = len(losses) // 4
+        assert np.mean(losses[-k:]) < np.mean(losses[:k])
 
     def test_convex_toy_descends_monotonically_after_warmup(self, monkeypatch):
         # a linear pipeline, one sample, no dropout: single-layer encoders,
@@ -258,8 +278,9 @@ class TestLocalUpdate:
         client = ClientRuntime(data=data, model=model)
         cfg = smoke_config(training={"local_epochs": 300, "batch_size": 1},
                            model={"dropout": 0.0})
-        _, stats = local_update(client, cfg, 1, Rng(0))
-        losses = stats.batch_losses
+        calls = record(monkeypatch, "mse_loss_batch")
+        local_update(client, cfg, 1, Rng(0))
+        losses = [loss for loss, _ in calls]
         assert gates and all(gate.all() for gate in gates)
         warmup = 20
         assert all(b <= a + 1e-12 for a, b in zip(losses[warmup:], losses[warmup + 1:]))

@@ -16,7 +16,7 @@ from feduaf.model import (
     init_model_params,
     probe_predictions,
 )
-from feduaf.nn import EVAL, TRAIN, DenseLayer, Mlp, mse_loss_batch
+from feduaf.nn import DenseLayer, Mlp, mse_loss_batch
 from feduaf.rng import Rng
 
 from oracles import assert_grads_close, finite_difference_grads
@@ -98,7 +98,7 @@ class TestForwardFused:
     def test_output_shape(self):
         model = tiny_model()
         feats, alpha, _ = random_batch()
-        preds, tape = forward_fused(model, feats, alpha, EVAL)
+        preds, tape = forward_fused(model, feats, alpha)
         assert preds.shape == (4,)
         for mi, m in enumerate(MODALITIES):
             assert np.array_equal(tape.weights[m], alpha[:, mi:mi + 1])
@@ -128,10 +128,10 @@ class TestBackwardFused:
         feats, alpha, labels = random_batch(seed=seed + 10)
 
         def loss_fn():
-            preds, _ = forward_fused(model, feats, alpha, EVAL)
+            preds, _ = forward_fused(model, feats, alpha)
             return mse_loss_batch(preds, labels)[0]
 
-        preds, tape = forward_fused(model, feats, alpha, EVAL)
+        preds, tape = forward_fused(model, feats, alpha)
         _, dpreds = mse_loss_batch(preds, labels)
         analytic = backward_fused(model, tape, dpreds, grad_buffer(model))
         numeric = finite_difference_grads(loss_fn, [model.theta])
@@ -140,7 +140,7 @@ class TestBackwardFused:
     def test_reused_buffer_is_fully_overwritten(self):
         model = tiny_model()
         feats, alpha, labels = random_batch()
-        preds, tape = forward_fused(model, feats, alpha, EVAL)
+        preds, tape = forward_fused(model, feats, alpha)
         _, dpreds = mse_loss_batch(preds, labels)
         reused = grad_buffer(model)
         assert backward_fused(model, tape, dpreds, reused) is reused[0]
@@ -157,7 +157,7 @@ class TestBackwardFused:
             alpha = np.zeros((4, 3))
             alpha[:, 0] = w_v
             alpha[:, 2] = 1.0 - w_v
-            preds, tape = forward_fused(model, feats, alpha, EVAL)
+            preds, tape = forward_fused(model, feats, alpha)
             g = backward_fused(model, tape, np.ones(4), grad_buffer(model))
             grads_by_alpha.append(tensor(model, g, "encoder.v.layers.0.bias"))
         np.testing.assert_allclose(2.0 * grads_by_alpha[0], grads_by_alpha[1],
@@ -169,7 +169,7 @@ class TestBackwardFused:
         # on the rows each encoder ran on, with the relu re-evaluated
         model = tiny_model(dropout=0.4, seed=2)
         feats, alpha, labels = random_batch(seed=5)
-        preds, tape = forward_fused(model, feats, alpha, TRAIN, Rng(77))
+        preds, tape = forward_fused(model, feats, alpha, Rng(77))
         _, dpreds = mse_loss_batch(preds, labels)
         analytic = backward_fused(model, tape, dpreds, grad_buffer(model))
 
@@ -281,7 +281,7 @@ class TestSharedBlock:
         model.heads.layers[0].bias[:] = np.inf
         feats, alpha, _ = random_batch()
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-            forward_fused(model, feats, alpha, EVAL)
+            forward_fused(model, feats, alpha)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             probe_predictions(model, feats, np.ones((4, 3), dtype=bool), 3, Rng(1))
 
@@ -341,7 +341,7 @@ class TestWeightedRows:
         model = tiny_model(dropout=0.3)
         feats, alpha, _ = sparse_batch()
         rng = Rng(11)
-        forward_fused(model, feats, alpha, TRAIN, rng)
+        forward_fused(model, feats, alpha, rng)
         fused_mc_predictions(model, feats, alpha, 3, rng)
         state = rng.gen.bit_generator.state
         assert state["state"]["counter"].tolist() == [192, 0, 0, 0]
@@ -361,7 +361,7 @@ class TestWeightedRows:
                                       fused_mc_predictions(model, zeroed, alpha, 3, Rng(4)))
         grads = []
         for batch in (garbage, zeroed):
-            preds, tape = forward_fused(model, batch, alpha, TRAIN, Rng(4))
+            preds, tape = forward_fused(model, batch, alpha, Rng(4))
             grads.append(backward_fused(model, tape, mse_loss_batch(preds, labels)[1],
                                         grad_buffer(model)))
         np.testing.assert_array_equal(grads[0], grads[1])
@@ -378,7 +378,7 @@ class TestWeightedRows:
             return forward(mlp, x, *args, **kwargs)
 
         monkeypatch.setattr(feduaf.model, "forward", counting)
-        forward_fused(model, feats, alpha, TRAIN, Rng(4))
+        forward_fused(model, feats, alpha, Rng(4))
         fused_mc_predictions(model, feats, alpha, passes, Rng(4))
         for mi, m in enumerate(MODALITIES):
             weighted = int(np.count_nonzero(alpha[:, mi]))
@@ -393,10 +393,10 @@ class TestWeightedRows:
         feats, alpha, labels = sparse_batch(seed=seed + 20)
 
         def loss_fn():
-            preds, _ = forward_fused(model, feats, alpha, EVAL)
+            preds, _ = forward_fused(model, feats, alpha)
             return mse_loss_batch(preds, labels)[0]
 
-        preds, tape = forward_fused(model, feats, alpha, EVAL)
+        preds, tape = forward_fused(model, feats, alpha)
         _, dpreds = mse_loss_batch(preds, labels)
         grad = backward_fused(model, tape, dpreds, grad_buffer(model))
         for w, b in model.layer_views(grad)["encoder.a"]:

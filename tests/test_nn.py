@@ -7,8 +7,6 @@ import pytest
 
 from feduaf.exceptions import ConfigError, NumericError, ShapeError, StateError
 from feduaf.nn import (
-    EVAL,
-    TRAIN,
     AdamState,
     DenseLayer,
     Mlp,
@@ -56,18 +54,18 @@ def grad_arrays(out):
 class TestForward:
     def test_identity_layer_passes_input_through(self):
         mlp = single_layer(np.eye(2), [0.0, 0.0])
-        out, _ = forward(mlp, np.array([[1.0, 2.0]]), EVAL)
+        out, _ = forward(mlp, np.array([[1.0, 2.0]]))
         assert out.tolist() == [[1.0, 2.0]]
 
     def test_relu_affine_analytic(self):
         # 2*3 + 1 = 7
         mlp = relu_layer([[2.0]], [1.0])
-        out, _ = forward(mlp, np.array([[3.0]]), EVAL)
+        out, _ = forward(mlp, np.array([[3.0]]))
         assert out.tolist() == [[7.0]]
 
     def test_relu_clamps_negative(self):
         mlp = relu_layer([[2.0]], [1.0])
-        out, _ = forward(mlp, np.array([[-3.0]]), EVAL)
+        out, _ = forward(mlp, np.array([[-3.0]]))
         assert out.tolist() == [[0.0]]
 
     def test_batch_and_vector_agree(self):
@@ -76,39 +74,39 @@ class TestForward:
         # not a bit-level one
         mlp = init_mlp([3, 4, 2], Rng(0))
         x = Rng(1).normal(size=(5, 3))
-        batch_out, _ = forward(mlp, x, EVAL)
+        batch_out, _ = forward(mlp, x)
         for i in range(5):
-            row_out, _ = forward(mlp, x[i:i + 1], EVAL)
+            row_out, _ = forward(mlp, x[i:i + 1])
             np.testing.assert_allclose(batch_out[i:i + 1], row_out, rtol=1e-12, atol=0)
     def test_eval_is_pure(self):
         mlp = init_mlp([3, 4, 1], Rng(0), dropout_rate=0.5)
         x = np.array([[0.3, -0.2, 1.0]])
-        a, _ = forward(mlp, x, EVAL)
-        b, _ = forward(mlp, x, EVAL)
+        a, _ = forward(mlp, x)
+        b, _ = forward(mlp, x)
         assert np.array_equal(a, b)
 
     def test_zero_dropout_train_equals_eval(self):
         mlp = init_mlp([3, 4, 1], Rng(0), dropout_rate=0.0)
         x = np.array([[0.3, -0.2, 1.0]])
-        a, _ = forward(mlp, x, TRAIN, Rng(5))
-        b, _ = forward(mlp, x, EVAL)
+        a, _ = forward(mlp, x, Rng(5))
+        b, _ = forward(mlp, x)
         assert np.array_equal(a, b)
 
     def test_dim_mismatch_raises(self):
         mlp = init_mlp([3, 2], Rng(0))
         with pytest.raises(ShapeError):
-            forward(mlp, np.zeros((1, 4)), EVAL)
+            forward(mlp, np.zeros((1, 4)))
         # a 1-D vector is not a batch, for forward and for backward
         with pytest.raises(ShapeError):
-            forward(mlp, np.zeros(3), EVAL)
-        _, tape = forward(mlp, np.zeros((1, 3)), EVAL)
+            forward(mlp, np.zeros(3))
+        _, tape = forward(mlp, np.zeros((1, 3)))
         with pytest.raises(ShapeError):
             backward(mlp, tape, np.zeros(2), grad_buffers(mlp))
 
     def test_nonfinite_input_raises(self):
         mlp = init_mlp([2, 2], Rng(0))
         with pytest.raises(NumericError):
-            forward(mlp, np.array([[np.nan, 0.0]]), EVAL)
+            forward(mlp, np.array([[np.nan, 0.0]]))
 
     def test_train_dropout_mean_approaches_eval(self):
         # inverted dropout: E[train output] == eval output for a net whose
@@ -122,12 +120,12 @@ class TestForward:
             dropout_rate=0.5,
         )
         x = np.array([[0.7, 1.3, 0.4]])
-        eval_out, _ = forward(mlp, x, EVAL)
+        eval_out, _ = forward(mlp, x)
         draw = Rng(7)
         total = np.zeros((1, 2))
         n = 10_000
         for _ in range(n):
-            out, _ = forward(mlp, x, TRAIN, draw)
+            out, _ = forward(mlp, x, draw)
             total += out
         mean = total / n
         assert np.all(np.abs(mean - eval_out) <= 0.02 * np.abs(eval_out))
@@ -137,7 +135,7 @@ class TestBackward:
     def test_linear_layer_analytic(self):
         # y = w*x with w=3, x=1: loss y^2 has dL/dw = 2*y*x = 6
         mlp = single_layer([[3.0]], [0.0])
-        out, tape = forward(mlp, np.array([[1.0]]), EVAL)
+        out, tape = forward(mlp, np.array([[1.0]]))
         grads = grad_buffers(mlp)
         backward(mlp, tape, 2.0 * out, grads)
         dw, db = grads[0]
@@ -146,7 +144,7 @@ class TestBackward:
 
     def test_zero_loss_grad_gives_zero_grads(self):
         mlp = init_mlp([3, 5, 2], Rng(3))
-        _, tape = forward(mlp, Rng(4).normal(size=(1, 3)), EVAL)
+        _, tape = forward(mlp, Rng(4).normal(size=(1, 3)))
         grads = grad_buffers(mlp)
         input_grad = backward(mlp, tape, np.zeros((1, 2)), grads)
         for dw, db in grads:
@@ -162,10 +160,10 @@ class TestBackward:
         y = np.array([0.3])
 
         def loss_fn():
-            out, _ = forward(mlp, x, EVAL)
+            out, _ = forward(mlp, x)
             return mse_loss_batch(out[:, 0], y)[0]
 
-        out, tape = forward(mlp, x, EVAL)
+        out, tape = forward(mlp, x)
         _, dpreds = mse_loss_batch(out[:, 0], y)
         grads = grad_buffers(mlp)
         backward(mlp, tape, dpreds[:, None], grads)
@@ -177,7 +175,7 @@ class TestBackward:
         mlp = init_mlp([4, 6, 3], Rng(3), dropout_rate=0.2)
         x = Rng(4).normal(size=(5, 4))
         g = Rng(5).normal(size=(5, 3))
-        _, tape = forward(mlp, x, TRAIN, Rng(6))
+        _, tape = forward(mlp, x, Rng(6))
         full, lean = grad_buffers(mlp), grad_buffers(mlp)
         assert backward(mlp, tape, g, full) is not None
         assert backward(mlp, tape, g, lean, input_grad=False) is None
@@ -187,7 +185,7 @@ class TestBackward:
     def test_dropped_units_get_zero_gradient(self):
         mlp = init_mlp([3, 8, 1], Rng(0), dropout_rate=0.5)
         x = Rng(1).normal(size=(1, 3))
-        _, tape = forward(mlp, x, TRAIN, Rng(2))
+        _, tape = forward(mlp, x, Rng(2))
         mask = (Rng(2).random((1, 8)) < 0.5)[0]  # the one mask forward drew
         assert not mask.all() and mask.any()  # seed chosen to mix kept/dropped
         grads = grad_buffers(mlp)
@@ -201,7 +199,7 @@ class TestBackward:
     def test_foreign_tape_raises(self):
         mlp_a = init_mlp([2, 2], Rng(0))
         mlp_b = init_mlp([2, 2], Rng(1))
-        _, tape = forward(mlp_a, np.zeros((1, 2)), EVAL)
+        _, tape = forward(mlp_a, np.zeros((1, 2)))
         with pytest.raises(StateError):
             backward(mlp_b, tape, np.zeros((1, 2)), grad_buffers(mlp_b))
 
@@ -278,7 +276,7 @@ class TestAdam:
             rng = Rng(seed).derive("data")
             for _ in range(25):
                 x = rng.normal(size=(1, 4))
-                out, tape = forward(mlp, x, EVAL)
+                out, tape = forward(mlp, x)
                 _, dpreds = mse_loss_batch(out[:, 0], np.ones(1))
                 backward(mlp, tape, dpreds[:, None], grads)
                 adam_step(params, grad_arrays(grads), state)
@@ -349,7 +347,7 @@ def test_relu_dropout_masks_and_scales():
     # relu, then inverted dropout at keep 0.5: kept positive units double
     mlp = relu_layer(np.eye(3), np.zeros(3), dropout_rate=0.5)
     z = np.tile([1.0, -1.0, 2.0], (8, 1))
-    out, tape = forward(mlp, z, TRAIN, Rng(0))
+    out, tape = forward(mlp, z, Rng(0))
     mask = Rng(0).random((8, 3)) < 0.5  # the one mask forward drew
     assert mask.any() and not mask.all()
     assert np.array_equal(out, np.where(mask, [2.0, 0.0, 4.0], 0.0))
@@ -359,8 +357,8 @@ def test_relu_dropout_masks_and_scales():
 
 
 @pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
-@pytest.mark.parametrize("mode", [TRAIN, EVAL])
-def test_gates_match_where_reference_bit_for_bit(mode, dropout_rate):
+@pytest.mark.parametrize("rng_given", [True, False], ids=["train", "eval"])
+def test_gates_match_where_reference_bit_for_bit(rng_given, dropout_rate):
     # relu and inverted dropout against their np.where forms, with the masks
     # drawn from the same stream in the same order
     rng = Rng(4)
@@ -369,13 +367,13 @@ def test_gates_match_where_reference_bit_for_bit(mode, dropout_rate):
         layer.bias += rng.normal(0.0, 0.5, size=layer.bias.shape)
     x = rng.normal(size=(7, 5))
     g = rng.normal(size=(7, 3))
-    out, tape = forward(mlp, x, mode, Rng(8))
+    out, tape = forward(mlp, x, Rng(8) if rng_given else None)
     grads = grad_buffers(mlp)
     input_grad = backward(mlp, tape, g, grads)
 
     draws = Rng(8)
     keep = 1.0 - dropout_rate
-    use_dropout = mode == TRAIN and dropout_rate > 0.0
+    use_dropout = rng_given and dropout_rate > 0.0
     last = len(mlp.layers) - 1
     a, inputs, zs, masks = x, [], [], []
     for i, layer in enumerate(mlp.layers):
@@ -414,12 +412,12 @@ def test_rows_keep_the_whole_batch_masks():
     x = Rng(1).normal(size=(9, 4))
     idx = np.array([1, 4, 5, 8])
     full_rng, part_rng = Rng(2), Rng(2)
-    full_out, full_tape = forward(mlp, x, TRAIN, full_rng)
-    out, tape = forward(mlp, x[idx], TRAIN, part_rng, rows=(9, idx))
+    full_out, full_tape = forward(mlp, x, full_rng)
+    out, tape = forward(mlp, x[idx], part_rng, rows=(9, idx))
     assert len(tape.gates) == len(full_tape.gates) == 2
     for gate, full_gate in zip(tape.gates, full_tape.gates):
         assert np.array_equal(gate, full_gate[idx])
     np.testing.assert_allclose(out, full_out[idx], rtol=1e-12)
     assert part_rng.random() == full_rng.random()
     with pytest.raises(ShapeError):
-        forward(mlp, x[idx], TRAIN, Rng(2), rows=(9, idx[:3]))
+        forward(mlp, x[idx], Rng(2), rows=(9, idx[:3]))
