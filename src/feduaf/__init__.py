@@ -5,42 +5,10 @@ dropout uncertainty; the server aggregates shared parameters weighted by
 client reliability (inverse mean uncertainty). Includes synthetic data
 generation with controllable heterogeneity, missing-modality and
 noisy-client protocols, baselines, and a sweep CLI.
+
+Names are imported from their modules; the package itself only pins
+OpenBLAS, which runs on the first import of any of them.
 """
-
-__version__ = "0.1.0"
-
-from .config import ExperimentConfig, FederationSpec, config_from_dict, parse_config
-from .datagen import (
-    ClientData,
-    ClientDataset,
-    Samples,
-    generate_federation,
-    load_jsonl,
-    mark_noisy_clients,
-    save_jsonl,
-)
-from .fedsim import (
-    DATA_SIZE,
-    FEDPROX,
-    RELIABILITY_WEIGHTED,
-    STRATEGIES,
-    UNIFORM,
-    ClientUpdate,
-    RoundReport,
-    aggregate,
-    evaluate_mae,
-    fedprox_penalty,
-    local_update,
-    normalize_reliabilities,
-    perturb_update,
-    run_round,
-    run_simulation,
-)
-from .fusion import MODALITIES
-from .model import ModelParams, init_model_params
-from .nn import AdamState, DenseLayer, Mlp, adam_step, backward, forward, init_mlp
-from .rng import Rng
-from .uncertainty import entropy_uncertainty, variance_uncertainty
 
 
 def _pin_openblas() -> None:

@@ -15,13 +15,8 @@ from dataclasses import replace
 
 from .config import FederationSpec, from_dict, parse_config, read_json
 from .datagen import generate_federation, save_jsonl
-from .exceptions import CONFIG_EXIT_ERRORS, ConfigError, FeduafError
+from .exceptions import CONFIG_EXIT_ERRORS, ConfigError, failure_message
 from .sweep import emit_plotdata, run_sweep
-
-# how numpy refuses an array size it cannot represent; any other ValueError
-# or OverflowError is a bug and keeps its traceback
-UNREPRESENTABLE = ("array is too big", "Maximum allowed dimension exceeded",
-                   "Python int too large to convert to C")
 
 
 def _cmd_gen_data(args) -> int:
@@ -108,12 +103,11 @@ def main(argv=None) -> int:
     except CONFIG_EXIT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FeduafError, OSError, MemoryError, ValueError, OverflowError) as exc:
-        if isinstance(exc, (ValueError, OverflowError)):
-            if not str(exc).startswith(UNREPRESENTABLE):
-                raise
-            exc = f"a size numpy cannot represent: {exc}"
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        message = failure_message(exc)
+        if message is None:
+            raise
+        print(f"runtime error: {message}", file=sys.stderr)
         return 2
 
 

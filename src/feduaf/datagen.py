@@ -85,8 +85,8 @@ def generate_federation(spec: FederationSpec) -> list:
     """Generate the full synthetic federation described by `spec`.
 
     Deterministic in the spec: the same spec yields bit-identical data.
-    Missing-modality masks (one stream per split) and noisy-client marking
-    are applied here so the result is ready for training.
+    Missing-modality masks (one stream per split), `split_dataset`'s
+    positional split and noisy-client marking are applied here.
     """
     from_dict(FederationSpec, asdict(spec))
     master = Rng(spec.seed).derive("datagen")
@@ -111,17 +111,14 @@ def generate_federation(spec: FederationSpec) -> list:
         for m in MODALITIES:
             noise = crng.normal(0.0, MODALITY_NOISE_STD[m], size=(n, spec.feature_dim))
             feats[m] = z @ projections[m].T + noise
-        splits = []
-        for split, (lo, hi) in zip(("train", "val", "test"), _split_bounds(n)):
-            mask = np.ones((hi - lo, len(MODALITIES)), dtype=bool)
-            if spec.missing_ratio > 0.0:
-                mask = draw_missing_masks(hi - lo, spec.missing_ratio,
-                                          crng.derive("missing", split))
-            splits.append(ClientDataset(cid, Samples(
-                {m: np.where(mask[:, mi:mi + 1], feats[m][lo:hi], 0.0)
-                 for mi, m in enumerate(MODALITIES)},
-                mask, labels[lo:hi])))
-        clients.append(ClientData(cid, *splits))
+        mask = np.ones((n, len(MODALITIES)), dtype=bool)
+        if spec.missing_ratio > 0.0:
+            mask = np.concatenate([
+                draw_missing_masks(hi - lo, spec.missing_ratio, crng.derive("missing", split))
+                for split, (lo, hi) in zip(("train", "val", "test"), _split_bounds(n))])
+        clients.append(split_dataset(ClientDataset(cid, Samples(
+            {m: np.where(mask[:, mi:mi + 1], feats[m], 0.0) for mi, m in enumerate(MODALITIES)},
+            mask, labels))))
     return mark_noisy_clients(clients, spec.noisy_ratio, master.derive("noisy"))
 
 

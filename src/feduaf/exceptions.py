@@ -1,7 +1,7 @@
 """Error taxonomy shared across the simulator.
 
 Config/validation problems exit the CLI with code 1, runtime/numeric
-problems with code 2.
+problems with code 2; a sweep records either as a failed cell.
 """
 
 
@@ -42,3 +42,17 @@ class ProtocolError(FeduafError):
 
 
 CONFIG_EXIT_ERRORS = (ConfigError, ValidationError)
+
+# how numpy refuses an array size it cannot represent; any other ValueError
+# or OverflowError is a bug and keeps its traceback
+UNREPRESENTABLE = ("array is too big", "Maximum allowed dimension exceeded",
+                   "Python int too large to convert to C")
+
+
+def failure_message(exc: Exception) -> str | None:
+    """The message the commands report for `exc`, or None for a bug."""
+    if isinstance(exc, (FeduafError, OSError, MemoryError)):
+        return str(exc)
+    if isinstance(exc, (ValueError, OverflowError)) and str(exc).startswith(UNREPRESENTABLE):
+        return f"a size numpy cannot represent: {exc}"
+    return None

@@ -19,13 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .config import (  # noqa: F401  (STRATEGIES is re-exported)
-    DATA_SIZE,
-    FEDPROX,
-    RELIABILITY_WEIGHTED,
-    STRATEGIES,
-    UNIFORM,
-)
+from .config import DATA_SIZE, FEDPROX, RELIABILITY_WEIGHTED, UNIFORM
 from .datagen import (
     ClientData,
     Samples,
@@ -187,12 +181,12 @@ def client_mean_uncertainty(model: ModelParams, samples: Samples, config, rng: R
     return float(u.mean())
 
 
-def local_update(client: ClientRuntime, config, round_index: int, rng: Rng):
+def local_update(client: ClientRuntime, config, rng: Rng):
     """One client's round: local epochs from the model as it stands (the
     broadcast has already put the global block in it), optional noisy
     perturbation of the shared block, reliability from post-perturbation
     uncertainty, upload. `run_round` reports a NumericError raised here as
-    this client diverging in round `round_index`.
+    this client diverging in its round.
 
     Returns (ClientUpdate, mean batch loss).
     """
@@ -308,7 +302,7 @@ def run_round(state: FederationState, config, run_rng: Rng,
             # a diverging client ends in the NumericError below, not in
             # numpy's warnings; errstate is per thread, so it is set here
             with np.errstate(over="ignore", invalid="ignore"):
-                return local_update(client, config, r, rng_i)
+                return local_update(client, config, rng_i)
         except NumericError as exc:
             raise NumericError(f"round {r}: client {cid!r} diverged: {exc}") from exc
 

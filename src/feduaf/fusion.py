@@ -10,13 +10,9 @@ representations under those weights. Every operation works on a batch of
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .exceptions import DegenerateInputError, ShapeError
-
-log = logging.getLogger(__name__)
 
 MODALITIES = ("v", "a", "t")
 
@@ -24,22 +20,20 @@ MODALITIES = ("v", "a", "t")
 def fusion_weights_batch(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row-wise masked softmax of -u; u and mask are (B, 3) in v/a/t order.
 
-    Unavailable entries get weight exactly 0, whatever u holds there.
-    Non-finite uncertainties on available entries are masked out
-    (fail-soft, logged); rows with nothing usable raise.
+    Unavailable entries get weight exactly 0, whatever u holds there. A
+    probe variance is never negative, so a non-finite one has overflowed;
+    it gets weight 0, the softmax's own limit. Rows with nothing usable
+    raise.
     """
     u = np.asarray(u, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
     if u.shape != mask.shape or u.ndim != 2 or u.shape[1] != len(MODALITIES):
         raise ShapeError(f"expected (B, {len(MODALITIES)}) arrays, got {u.shape}")
-    finite = np.isfinite(u)
-    usable = mask & finite
+    usable = mask & np.isfinite(u)
     if not mask.any(axis=1).all():
         raise DegenerateInputError("a row has all modalities masked")
-    if (mask & ~finite).any():
-        log.warning("non-finite uncertainties present; masking those entries")
-        if not usable.any(axis=1).all():
-            raise DegenerateInputError("a row has no finite uncertainty available")
+    if not usable.any(axis=1).all():
+        raise DegenerateInputError("a row has no finite uncertainty available")
     neg = np.where(usable, -u, -np.inf)
     neg = neg - neg.max(axis=1, keepdims=True)
     expd = np.where(usable, np.exp(neg), 0.0)

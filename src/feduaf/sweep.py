@@ -4,9 +4,9 @@ A grid is a JSON object whose keys are a subset of
 {noniid_intensity, missing_ratio, noisy_ratio, strategy, ablation} and whose
 values are lists of settings. Every grid point runs once per seed; the
 sweep aggregates final-MAE mean/std per point into sweep.csv (fixed column
-set, rows in grid order, byte-deterministic). Cells whose runs raise a
-FeduafError are recorded in sweep_errors.json and the sweep continues; any
-other exception is a bug and propagates.
+set, rows in grid order, byte-deterministic). A run whose failure the CLI
+would report (`exceptions.failure_message`) is recorded in sweep_errors.json
+and the sweep continues; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import STRATEGIES, ExperimentConfig, config_from_dict, open_input
-from .exceptions import ConfigError, FeduafError, ParseError, ValidationError
+from .exceptions import ConfigError, ParseError, ValidationError, failure_message
 from .fedsim import run_simulation, threads_from_env
 
 GRID_AXES = ("noniid_intensity", "missing_ratio", "noisy_ratio", "strategy", "ablation")
@@ -87,9 +87,12 @@ def _run_cell_seed(args):
     config = config_from_dict(config_dict)
     try:
         summary = run_simulation(config, seed, run_dir, n_threads=1)
-        return ("ok", summary["final_mae"])
-    except FeduafError as exc:  # a failed cell must not abort the sweep
-        return ("error", f"seed {seed}: {type(exc).__name__}: {exc}")
+    except Exception as exc:  # a failed cell must not abort the sweep
+        message = failure_message(exc)
+        if message is None:
+            raise
+        return ("error", f"seed {seed}: {type(exc).__name__}: {message}")
+    return ("ok", summary["final_mae"])
 
 
 def run_sweep(config: ExperimentConfig, grid_raw: dict, out_dir) -> SweepResult:

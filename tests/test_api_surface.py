@@ -1,12 +1,12 @@
 """No test-only API: every function, class and method in src/feduaf is used
-by the simulator or by the benchmark harness.
+by the simulator or by the benchmark harness, and every parameter is read.
 
 A definition is live when live code refers to it. Module-level code in
 src/feduaf and all of perfbench/ is live, and so are the allowed names
 below; so is the body of a live definition, but never a definition's own
-body on its behalf. `__init__.py` only re-exports, so it neither defines
-nor refers. Functions and classes are referred to by name, by attribute
-(`module.func`) or by a string (perfbench names the functions it wraps).
+body on its behalf. `__init__.py` only pins BLAS and is not scanned.
+Functions and classes are referred to by name, by attribute (`module.func`)
+or by a string (perfbench names the functions it wraps).
 Methods are referred to by attribute or by a "Class.method" string, and are
 live only while their class is; dunder methods are called by Python itself
 and are not checked.
@@ -94,3 +94,32 @@ def test_no_test_only_api():
     assert not unused, f"used only by tests, or not at all: {sorted(unused)}"
     stale = ALLOWED - unused_definitions(set())
     assert not stale, f"allowed but used, drop from ALLOWED: {sorted(stale)}"
+
+
+def unused_parameters() -> list:
+    """`module:function.parameter` for every parameter of a src/feduaf
+    function, nested ones and methods included, that its body never names;
+    `self`, `cls` and `_`-prefixed parameters are exempt."""
+    unused = []
+    for path in sorted((ROOT / "src" / "feduaf").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            named = {n.id for stmt in body for n in ast.walk(stmt)
+                     if isinstance(n, ast.Name)}
+            name = getattr(node, "name", "<lambda>")
+            unused += [f"{path.stem}:{name}.{p.arg}" for p in params
+                       if p.arg not in ("self", "cls") and not p.arg.startswith("_")
+                       and p.arg not in named]
+    return unused
+
+
+def test_no_unused_parameters():
+    unused = unused_parameters()
+    assert not unused, f"parameters their function never reads: {unused}"

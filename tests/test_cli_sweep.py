@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -27,6 +29,7 @@ GEN_DATA_SPEC = {"num_clients": 2, "samples_per_client": 4, "feature_dim": 2,
                  "noisy_ratio": 0.5}
 GEN_DATA_REFERENCE = os.path.join(os.path.dirname(__file__), "data", "gen_data_noseed.jsonl")
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "ingest_fixture.jsonl")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 GOOD_LINE = ('{"client_id": "c", "features": {"v": [1.0]}, '
              '"mask": {"v": 1, "a": 0, "t": 0}, "label": 0.5}\n')
 
@@ -297,6 +300,25 @@ class TestCli:
         assert err.startswith("runtime error: round 1: ")
         assert "client 'spk000' diverged: " in err
 
+    def test_overflowed_probe_variance_is_silent(self, tmp_path):
+        # a 1e308 feature overflows the probe variances of the rows that hold
+        # it; those entries get fusion weight 0 and the run reports nothing.
+        # A fresh interpreter, so no handler pytest installs hides a log line
+        data = tmp_path / "data.jsonl"
+        lines = Path(FIXTURE).read_text().splitlines(keepends=True)
+        first = json.loads(lines[0])
+        first["features"]["t"][0] = 1e308
+        data.write_text(json.dumps(first) + "\n" + "".join(lines[1:]))
+        path = write_json(tmp_path / "config.json", {
+            "data_path": str(data), "output_dir": str(tmp_path / "out"),
+            "federation": {"feature_dim": 4}, "model": {"hidden_dim": 8},
+            "training": {"rounds": 2, "local_epochs": 1}})
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run([sys.executable, "-m", "feduaf.cli", "run", "--config", path],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0 and proc.stderr == ""
+
     def test_client_too_small_to_split_exits_1(self, tmp_path, capsys):
         # one sample gives client 'a' no train split; the run must stop
         # before it creates its output directory
@@ -455,6 +477,24 @@ class TestSweep:
         errors = run_sweep(cfg, {}, cfg.output_dir).cells[0].errors
         assert len(errors) == 2 and all("line 2: not UTF-8" in e for e in errors)
 
+    @pytest.mark.parametrize("hidden_dim", [2**60, 10**13])
+    def test_unallocatable_cell_recorded_and_sweep_exits_0(self, tmp_path, hidden_dim):
+        # 2**60 fails on a size numpy cannot represent, 10**13 on a MemoryError
+        out = tmp_path / "sweep"
+        path = write_json(tmp_path / "config.json",
+                          dict(SMALL_RUN, seeds=[1], model={"hidden_dim": hidden_dim},
+                               output_dir=str(out)))
+        grid = write_json(tmp_path / "grid.json", {})
+        assert main(["sweep", "--config", path, "--grid", grid]) == 0
+        with open(out / "sweep.csv") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["seed_count"] == "0" and row["mae_mean"] == ""
+        (error,) = json.loads((out / "sweep_errors.json").read_text())["cell000"]
+        assert error.startswith("seed 1: ")
+        if hidden_dim == 2**60:
+            assert "a size numpy cannot represent" in error
+        else:
+            assert "MemoryError: Unable to allocate" in error
 
     def test_pool_never_larger_than_job_count(self, tmp_path, monkeypatch):
         # a fork pool starts all its workers at the first submit
@@ -484,7 +524,7 @@ class TestSweep:
         assert sizes == [2]  # a single job runs serially, without a pool
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
-        # only FeduafError marks a cell as failed; a bug must surface
+        # only a failure the CLI reports marks a cell as failed; a bug must surface
         def broken(*args, **kwargs):
             raise TypeError("bug in the simulator")
 
@@ -492,6 +532,17 @@ class TestSweep:
         monkeypatch.setenv("FEDUAF_THREADS", "1")
         cfg = self.sweep_config(tmp_path)
         with pytest.raises(TypeError, match="bug in the simulator"):
+            run_sweep(cfg, {}, cfg.output_dir)
+
+    def test_unknown_value_error_propagates(self, tmp_path, monkeypatch):
+        # a ValueError that is not numpy refusing a size is a bug too
+        def broken(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr("feduaf.sweep.run_simulation", broken)
+        monkeypatch.setenv("FEDUAF_THREADS", "1")
+        cfg = self.sweep_config(tmp_path)
+        with pytest.raises(ValueError, match="boom"):
             run_sweep(cfg, {}, cfg.output_dir)
 
 

@@ -219,7 +219,7 @@ class TestLocalUpdate:
         state, cfg = self.build_state(training={"local_epochs": 0})
         client = state.clients[0]
         losses = record(monkeypatch, "mse_loss_batch")
-        update, mean_loss = local_update(client, cfg, 1, Rng(9))
+        update, mean_loss = local_update(client, cfg, Rng(9))
         broadcast = dict(state.shared)
         assert len(update.shared_params) == len(broadcast)
         for name, arr in update.shared_params:
@@ -229,14 +229,14 @@ class TestLocalUpdate:
 
     def test_upload_contains_only_shared_head(self):
         state, cfg = self.build_state()
-        update, _ = local_update(state.clients[0], cfg, 1, Rng(9))
+        update, _ = local_update(state.clients[0], cfg, Rng(9))
         assert all(n.startswith("shared_head.") for n, _ in update.shared_params)
 
     def test_reliability_formula(self, monkeypatch):
         # r = 1 / (u_bar + eps)
         state, cfg = self.build_state()
         u_bars = record(monkeypatch, "client_mean_uncertainty")
-        update, _ = local_update(state.clients[0], cfg, 1, Rng(9))
+        update, _ = local_update(state.clients[0], cfg, Rng(9))
         [u_bar] = u_bars
         expected = 1.0 / (u_bar + cfg.reliability.epsilon)
         assert update.reliability == pytest.approx(expected, rel=1e-6)
@@ -246,7 +246,7 @@ class TestLocalUpdate:
     def test_training_reduces_loss_on_average(self, monkeypatch):
         state, cfg = self.build_state(training={"local_epochs": 60, "lr": 0.01})
         calls = record(monkeypatch, "mse_loss_batch")
-        _, mean_loss = local_update(state.clients[0], cfg, 1, Rng(9))
+        _, mean_loss = local_update(state.clients[0], cfg, Rng(9))
         losses = [loss for loss, _ in calls]
         assert mean_loss == np.mean(losses)
         k = len(losses) // 4
@@ -279,7 +279,7 @@ class TestLocalUpdate:
         cfg = smoke_config(training={"local_epochs": 300, "batch_size": 1},
                            model={"dropout": 0.0})
         calls = record(monkeypatch, "mse_loss_batch")
-        local_update(client, cfg, 1, Rng(0))
+        local_update(client, cfg, Rng(0))
         losses = [loss for loss, _ in calls]
         assert gates and all(gate.all() for gate in gates)
         warmup = 20
@@ -289,11 +289,11 @@ class TestLocalUpdate:
     def test_noisy_client_perturbs_upload(self):
         state, cfg = self.build_state(noise_gamma=1.0)
         client = state.clients[0]
-        clean_update, _ = local_update(client, cfg, 1, Rng(9))
+        clean_update, _ = local_update(client, cfg, Rng(9))
         state2, _ = self.build_state(noise_gamma=1.0)
         client2 = state2.clients[0]
         client2.data.is_noisy = True
-        noisy_update, _ = local_update(client2, cfg, 1, Rng(9))
+        noisy_update, _ = local_update(client2, cfg, Rng(9))
         diffs = [not np.array_equal(a[1], b[1])
                  for a, b in zip(clean_update.shared_params, noisy_update.shared_params)]
         assert any(diffs)
@@ -303,7 +303,7 @@ class TestLocalUpdate:
         client = state.clients[0]
         client.data.train.samples = batch_from_samples(client.data.train.samples, slice(0))
         with pytest.raises(ConfigError):
-            local_update(client, cfg, 1, Rng(9))
+            local_update(client, cfg, Rng(9))
 
     def test_reliability_subsample_is_a_sorted_draw_of_the_rows(self):
         # more rows than max_samples: the estimate runs on sorted rows drawn
