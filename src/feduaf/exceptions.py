@@ -29,10 +29,6 @@ class NumericError(FeduafError):
     """Non-finite values where finite ones are required."""
 
 
-class StateError(FeduafError):
-    """Mismatched or stale state objects (e.g. tape from another network)."""
-
-
 class DegenerateInputError(FeduafError):
     """Input admits no prediction path (e.g. all modalities missing)."""
 

@@ -11,11 +11,13 @@ always sums in sorted client order.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -385,8 +387,19 @@ def threads_from_env() -> int:
     return int(raw)
 
 
+@contextlib.contextmanager
+def replacing(path):
+    """Yield a temporary name beside `path` for the block to write; it then
+    replaces `path` in one rename, so `path` is never seen half written."""
+    tmp = f"{path}.tmp"
+    yield tmp
+    os.replace(tmp, path)
+
+
 def run_simulation(config, seed: int, run_dir, n_threads: int | None = None) -> dict:
-    """Execute a full run and write rounds.jsonl + summary.json to run_dir."""
+    """Execute a full run and write rounds.jsonl, then shared_params.json and
+    summary.json, to run_dir. The last two are removed first, so a run that
+    stops early leaves neither from an earlier run beside its rounds."""
     if n_threads is None:
         n_threads = threads_from_env()
     t_start = time.perf_counter()
@@ -394,12 +407,14 @@ def run_simulation(config, seed: int, run_dir, n_threads: int | None = None) -> 
     run_rng = Rng(seed).derive("protocol")
     initial_mae = evaluate_mae(state.clients, config, run_rng.derive("eval", 0))
     os.makedirs(run_dir, exist_ok=True)  # a run that fails before here leaves no directory
-    rounds_path = os.path.join(run_dir, "rounds.jsonl")
-    with open(rounds_path, "w", encoding="utf-8") as fh:
+    for name in ("summary.json", "shared_params.json"):
+        Path(run_dir, name).unlink(missing_ok=True)
+    with open(os.path.join(run_dir, "rounds.jsonl"), "w", encoding="utf-8") as fh:
         for _ in range(config.training.rounds):
             report = run_round(state, config, run_rng, n_threads=n_threads)
             fh.write(json.dumps(asdict(report), sort_keys=True) + "\n")
-    save_params(os.path.join(run_dir, "shared_params.json"), state.shared)
+    with replacing(os.path.join(run_dir, "shared_params.json")) as tmp:
+        save_params(tmp, state.shared)
     summary = {
         "config": config.to_dict(),
         "seed": seed,
@@ -410,6 +425,7 @@ def run_simulation(config, seed: int, run_dir, n_threads: int | None = None) -> 
         "noisy_clients": [c.data.client_id for c in state.clients if c.data.is_noisy],
         "wall_time_s": time.perf_counter() - t_start,
     }
-    with open(os.path.join(run_dir, "summary.json"), "w", encoding="utf-8") as fh:
+    with (replacing(os.path.join(run_dir, "summary.json")) as tmp,
+          open(tmp, "w", encoding="utf-8") as fh):
         json.dump(summary, fh, indent=2, sort_keys=True)
     return summary

@@ -36,44 +36,23 @@ class ModelParams:
     layout: list = field(init=False, repr=False, compare=False)  # (name, offset, shape)
 
     def __post_init__(self):
-        """Validate, then pack every layer into `theta` and make the layer
-        arrays views into it."""
-        self.validate()
-        *shared, pred = self.heads.layers
-        layers = [(f"encoder.{m}.layers.{i}", layer)
-                  for m in MODALITIES for i, layer in enumerate(self.encoders[m].layers)]
-        layers += [(f"shared_head.layers.{i}", layer) for i, layer in enumerate(shared)]
-        layers.append(("prediction_head.layers.0", pred))
-        self.theta = np.concatenate(
-            [a.ravel() for _, layer in layers for a in (layer.weights, layer.bias)],
-            dtype=np.float64)
-        self.layout = []
-        offset = 0
-        for prefix, layer in layers:
-            for attr, suffix in (("weights", "weight"), ("bias", "bias")):
-                shape = getattr(layer, attr).shape
-                self.layout.append((f"{prefix}.{suffix}", offset, shape))
-                offset += math.prod(shape)
+        """Pack every layer into `theta`, in `components()` order, and make
+        each network's layers (weights, bias) views into it."""
+        self.layout, offset = [], 0
+        for name, mlp in self.components():
+            for i, layer in enumerate(mlp.layers):
+                prefix = f"{name}.layers.{i}"
+                if name == "heads":
+                    prefix = (f"shared_head.layers.{i}" if i < len(mlp.layers) - 1
+                              else "prediction_head.layers.0")
+                for arr, suffix in zip(layer, ("weight", "bias")):
+                    self.layout.append((f"{prefix}.{suffix}", offset, arr.shape))
+                    offset += arr.size
+        self.theta = np.concatenate([a.ravel() for _, mlp in self.components()
+                                     for layer in mlp.layers for a in layer], dtype=np.float64)
         views = self.layer_views(self.theta)
         for name, mlp in self.components():
-            for layer, (w, b) in zip(mlp.layers, views[name]):
-                layer.weights, layer.bias = w, b
-
-    def validate(self):
-        if set(self.encoders) != set(MODALITIES):
-            raise ShapeError(f"encoders must cover exactly {MODALITIES}")
-        self.heads.validate()
-        if len(self.heads.layers) < 2:
-            raise ShapeError("the heads need a shared layer and a prediction layer")
-        if self.heads.out_dim != 1:
-            raise ShapeError("the heads must output a scalar")
-        fusion_dim = self.heads.in_dim
-        for m, enc in self.encoders.items():
-            enc.validate()
-            if enc.out_dim != fusion_dim:
-                raise ShapeError(
-                    f"encoder {m!r} output dim {enc.out_dim} != fusion dim {fusion_dim}"
-                )
+            mlp.layers = views[name]
 
     def layer_views(self, flat: np.ndarray) -> dict:
         """Component name -> per-layer (weights, bias) views into `flat`, a
@@ -87,14 +66,14 @@ class ModelParams:
         """Canonical (name, Mlp) order of `theta` and of gradient vectors."""
         return [(f"encoder.{m}", self.encoders[m]) for m in MODALITIES] + [("heads", self.heads)]
 
-    def shared_slice(self, share_encoders: bool = False) -> slice:
+    def shared_slice(self, share_encoders: bool) -> slice:
         """The exchanged block inside `theta`: the shared head, preceded by
         the encoders when they are shared too; it ends where the prediction
         layer, the last two layout entries, begins."""
         head_start = self.layout[-2 * len(self.heads.layers)][1]
         return slice(0 if share_encoders else head_start, self.layout[-2][1])
 
-    def shared_layout(self, share_encoders: bool = False) -> list:
+    def shared_layout(self, share_encoders: bool) -> list:
         """Layout entries of the exchanged block, in upload order."""
         block = self.shared_slice(share_encoders)
         return [entry for entry in self.layout if block.start <= entry[1] < block.stop]
@@ -112,14 +91,14 @@ def init_model_params(feature_dims: dict, hidden_dim: int, fusion_dim: int,
     return ModelParams(encoders, Mlp(shared + pred, dropout_rate))
 
 
-def extract_shared(model: ModelParams, share_encoders: bool = False) -> list:
+def extract_shared(model: ModelParams, share_encoders: bool) -> list:
     """Copy the exchanged block out as named tensors."""
     theta = model.theta
     return [(name, theta[off:off + math.prod(shape)].reshape(shape).copy())
             for name, off, shape in model.shared_layout(share_encoders)]
 
 
-def assign_shared(model: ModelParams, tensors: list, share_encoders: bool = False):
+def assign_shared(model: ModelParams, tensors: list, share_encoders: bool):
     """Copy named tensors into the exchanged block of this bundle; their
     names must be exactly the block's layout, in order."""
     layout = model.shared_layout(share_encoders)

@@ -14,59 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, NumericError, ShapeError, StateError
+from .exceptions import ConfigError, NumericError, ShapeError
 from .rng import Rng
 
 
 @dataclass
-class DenseLayer:
-    weights: np.ndarray  # (out_dim, in_dim)
-    bias: np.ndarray  # (out_dim,)
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
-
-    def validate(self):
-        if self.weights.ndim != 2 or self.bias.ndim != 1:
-            raise ShapeError("weights must be 2-D and bias 1-D")
-        if self.bias.shape[0] != self.weights.shape[0]:
-            raise ShapeError(
-                f"bias length {self.bias.shape[0]} != out_dim {self.weights.shape[0]}"
-            )
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
-            raise NumericError("layer parameters contain non-finite entries")
-
-
-@dataclass
 class Mlp:
-    layers: list[DenseLayer]
+    layers: list  # per layer (weights (out_dim, in_dim), bias (out_dim,))
     dropout_rate: float = 0.0
-
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0].in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].out_dim
-
-    def validate(self):
-        if not self.layers:
-            raise ConfigError("Mlp needs at least one layer")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        for layer in self.layers:
-            layer.validate()
-        for prev, nxt in zip(self.layers, self.layers[1:]):
-            if prev.out_dim != nxt.in_dim:
-                raise ShapeError(
-                    f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}"
-                )
 
 
 def init_mlp(dims, rng: Rng, dropout_rate: float = 0.0) -> Mlp:
@@ -77,22 +32,18 @@ def init_mlp(dims, rng: Rng, dropout_rate: float = 0.0) -> Mlp:
     layers = []
     for fan_in, fan_out in zip(dims, dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-        layers.append(DenseLayer(w, np.zeros(fan_out)))
-    mlp = Mlp(layers, dropout_rate)
-    mlp.validate()
-    return mlp
+        layers.append((rng.uniform(-limit, limit, size=(fan_out, fan_in)),
+                       np.zeros(fan_out)))
+    return Mlp(layers, dropout_rate)
 
 
 @dataclass
 class Tape:
     """Activation record from one forward call, consumed by backward."""
 
-    mlp_id: int
-    inputs: list = field(default_factory=list)  # per-layer input (B, in_dim)
-    # per layer but the last: (z > 0) & dropout keep mask, bool (B, out_dim)
-    gates: list = field(default_factory=list)
-    keep: float = 1.0  # dropout keep probability; 1.0 when no dropout ran
+    inputs: list  # per-layer input (B, in_dim)
+    gates: list  # per layer but the last: (z > 0) & dropout keep mask, bool (B, out_dim)
+    keep: float  # dropout keep probability; 1.0 when no dropout ran
 
 
 def _as_batch(x: np.ndarray, dim: int, what: str) -> np.ndarray:
@@ -114,7 +65,7 @@ def forward(mlp: Mlp, x: np.ndarray, rng: Rng | None = None, rows=None):
     the random stream does not depend on which rows are computed.
     """
     layers = mlp.layers
-    a = _as_batch(x, layers[0].weights.shape[1], "input")
+    a = _as_batch(x, layers[0][0].shape[1], "input")
     if not np.isfinite(a).all():
         raise NumericError("non-finite values in forward input")
     if rows is not None and len(rows[1]) != a.shape[0]:
@@ -123,10 +74,10 @@ def forward(mlp: Mlp, x: np.ndarray, rng: Rng | None = None, rows=None):
     use_dropout = rng is not None and mlp.dropout_rate > 0.0
     keep = 1.0 - mlp.dropout_rate if use_dropout else 1.0
     inputs, gates = [], []
-    for i, layer in enumerate(layers):
+    for i, (w, b) in enumerate(layers):
         inputs.append(a)
-        a = a @ layer.weights.T
-        a += layer.bias
+        a = a @ w.T
+        a += b
         if i < len(layers) - 1:
             gate = a > 0.0
             if use_dropout:
@@ -135,7 +86,7 @@ def forward(mlp: Mlp, x: np.ndarray, rng: Rng | None = None, rows=None):
             if use_dropout:
                 a /= keep
             gates.append(gate)
-    return a, Tape(id(mlp), inputs, gates, keep)
+    return a, Tape(inputs, gates, keep)
 
 
 def backward(mlp: Mlp, tape: Tape, loss_grad: np.ndarray, out,
@@ -149,15 +100,10 @@ def backward(mlp: Mlp, tape: Tape, loss_grad: np.ndarray, out,
     encoders through fusion), or None with `input_grad=False`, which skips
     that last product.
     """
-    if tape.mlp_id != id(mlp):
-        raise StateError("tape was produced by a different network")
-    if len(tape.inputs) != len(mlp.layers):
-        raise StateError("tape layer count does not match network")
-    g = _as_batch(loss_grad, mlp.out_dim, "loss_grad")
+    g = _as_batch(loss_grad, mlp.layers[-1][0].shape[0], "loss_grad")
     if g.shape[0] != tape.inputs[0].shape[0]:
         raise ShapeError("loss_grad batch size does not match tape")
     for i in range(len(mlp.layers) - 1, -1, -1):
-        layer = mlp.layers[i]
         gz = g
         if i < len(tape.gates):
             gz = g * tape.gates[i]
@@ -166,7 +112,7 @@ def backward(mlp: Mlp, tape: Tape, loss_grad: np.ndarray, out,
         dw, db = out[i]
         np.matmul(gz.T, tape.inputs[i], out=dw)
         gz.sum(axis=0, out=db)
-        g = gz @ layer.weights if i or input_grad else None
+        g = gz @ mlp.layers[i][0] if i or input_grad else None
     return g
 
 
@@ -199,11 +145,6 @@ def adam_step(params, grads, state: AdamState):
     keep the order of the textbook expression, so the result does not depend
     on how the parameters are split into arrays.
     """
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
-        raise ShapeError("params/grads/state length mismatch")
-    for p, g, m in zip(params, grads, state.first_moment):
-        if p.shape != g.shape or p.shape != m.shape:
-            raise ShapeError(f"shape mismatch in adam_step: {p.shape} vs {g.shape}")
     state.step_count += 1
     bc1 = 1.0 - BETA1 ** state.step_count
     bc2 = 1.0 - BETA2 ** state.step_count

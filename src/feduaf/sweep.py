@@ -18,12 +18,13 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .config import STRATEGIES, ExperimentConfig, config_from_dict, open_input
 from .exceptions import ConfigError, ParseError, ValidationError, failure_message
-from .fedsim import run_simulation, threads_from_env
+from .fedsim import replacing, run_simulation, threads_from_env
 
 GRID_AXES = ("noniid_intensity", "missing_ratio", "noisy_ratio", "strategy", "ablation")
 
@@ -102,6 +103,8 @@ def run_sweep(config: ExperimentConfig, grid_raw: dict, out_dir) -> SweepResult:
     cells = [SweepCell(apply_point(config, point), [], [])
              for point in parse_grid(grid_raw)]
     os.makedirs(out_dir, exist_ok=True)  # a grid that fails validation leaves no directory
+    errors_path = os.path.join(out_dir, "sweep_errors.json")
+    Path(errors_path).unlink(missing_ok=True)  # it describes only this sweep's failures
     jobs = []
     for ci, cell in enumerate(cells):
         for seed in config.seeds:
@@ -119,11 +122,11 @@ def run_sweep(config: ExperimentConfig, grid_raw: dict, out_dir) -> SweepResult:
         else:
             cells[ci].errors.append(payload)
     csv_path = os.path.join(out_dir, "sweep.csv")
-    write_sweep_csv(csv_path, cells)
+    with replacing(csv_path) as tmp:
+        write_sweep_csv(tmp, cells)
     errors = {f"cell{ci:03d}": c.errors for ci, c in enumerate(cells) if c.errors}
     if errors:
-        with open(os.path.join(out_dir, "sweep_errors.json"), "w",
-                  encoding="utf-8") as fh:
+        with replacing(errors_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             json.dump(errors, fh, indent=2, sort_keys=True)
     return SweepResult(cells=cells, csv_path=csv_path)
 

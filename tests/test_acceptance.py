@@ -133,8 +133,8 @@ def _relu_kink_margin(model, tape):
     comps = [(model.encoders[m], tape.encoder_tapes[m]) for m in MODALITIES]
     comps.append((model.heads, tape.head_tape))
     for mlp, t in comps:
-        for layer, a in zip(mlp.layers[:-1], t.inputs):
-            z = a @ layer.weights.T + layer.bias
+        for (w, b), a in zip(mlp.layers[:-1], t.inputs):
+            z = a @ w.T + b
             margin = min(margin, float(np.abs(z).min(initial=np.inf)))
     return margin
 
@@ -149,8 +149,8 @@ def _gradcheck_case(case):
         model = init_model_params(dims, hidden, fusion_dim, 0.0,
                                   rng.derive("init"))
         for _, mlp in model.components():
-            for layer in mlp.layers:
-                layer.bias += rng.normal(0.0, 0.3, size=layer.bias.shape)
+            for _, bias in mlp.layers:
+                bias += rng.normal(0.0, 0.3, size=bias.shape)
         b = int(rng.integers(1, 5))
         feats = {m: rng.normal(size=(b, dims[m])) for m in MODALITIES}
         raw = np.abs(rng.normal(size=(b, 3))) * (rng.random((b, 3)) > 0.25)
@@ -170,7 +170,7 @@ def test_criterion_2_gradient_suite():
         model, feats, alpha, labels = _gradcheck_case(case)
         use_prox = case % 2 == 1
         mu = 0.05
-        shared = model.shared_slice()
+        shared = model.shared_slice(False)
         anchor = model.theta[shared].copy()
 
         def loss_fn():

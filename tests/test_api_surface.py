@@ -23,7 +23,7 @@ ALLOWED = {
     "variance_uncertainty",
     "entropy_uncertainty",
     # reads the checkpoint format save_params writes; resumable runs
-    # (ROADMAP item 6) load it back
+    # (ROADMAP item 3) load it back
     "load_params",
 }
 

@@ -3,8 +3,10 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -52,6 +54,13 @@ def assert_names_undecodable(err, path):
 
 def assert_names_directory(err, path):
     assert err.startswith("error: ") and f"is a directory: {path}" in err
+
+
+def src_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's
+    feduaf."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
 
 
 def unallocatable_message(size) -> str:
@@ -300,6 +309,43 @@ class TestCli:
         assert err.startswith("runtime error: round 1: ")
         assert "client 'spk000' diverged: " in err
 
+    def test_diverging_rerun_leaves_no_earlier_results(self, tmp_path, capsys):
+        # the rerun's rounds.jsonl is empty; no summary or parameters from
+        # the first run may stand beside it
+        out = tmp_path / "out"
+        cfg = dict(SMALL_RUN, output_dir=str(out))
+        assert main(["run", "--config", write_json(tmp_path / "config.json", cfg)]) == 0
+        assert (out / "summary.json").exists() and (out / "shared_params.json").exists()
+        cfg["training"] = dict(SMALL_RUN["training"], lr=1e300)
+        assert main(["run", "--config", write_json(tmp_path / "config.json", cfg)]) == 2
+        assert "client 'spk000' diverged: " in capsys.readouterr().err
+        assert (out / "rounds.jsonl").read_text() == ""
+        assert sorted(p.name for p in out.iterdir()) == ["rounds.jsonl"]
+
+    def test_killed_rerun_leaves_no_earlier_summary(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = dict(SMALL_RUN, output_dir=str(out))
+        assert main(["run", "--config", write_json(tmp_path / "config.json", cfg)]) == 0
+        rounds = out / "rounds.jsonl"
+        before = rounds.stat()
+        cfg["training"] = dict(SMALL_RUN["training"], rounds=10_000)
+        path = write_json(tmp_path / "config.json", cfg)
+        proc = subprocess.Popen([sys.executable, "-m", "feduaf.cli", "run", "--config", path],
+                                env=src_env(), stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 120
+            # opening rounds.jsonl for writing truncates it, which moves its mtime
+            while rounds.stat().st_mtime_ns == before.st_mtime_ns:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert rounds.stat().st_size < before.st_size
+        assert not (out / "summary.json").exists()
+        assert not (out / "shared_params.json").exists()
+
     def test_overflowed_probe_variance_is_silent(self, tmp_path):
         # a 1e308 feature overflows the probe variances of the rows that hold
         # it; those entries get fusion weight 0 and the run reports nothing.
@@ -313,10 +359,8 @@ class TestCli:
             "data_path": str(data), "output_dir": str(tmp_path / "out"),
             "federation": {"feature_dim": 4}, "model": {"hidden_dim": 8},
             "training": {"rounds": 2, "local_epochs": 1}})
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
         proc = subprocess.run([sys.executable, "-m", "feduaf.cli", "run", "--config", path],
-                              env=env, capture_output=True, text=True, timeout=300)
+                              env=src_env(), capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0 and proc.stderr == ""
 
     def test_client_too_small_to_split_exits_1(self, tmp_path, capsys):
@@ -476,6 +520,23 @@ class TestSweep:
                                     output_dir=str(tmp_path / "sweep2")))
         errors = run_sweep(cfg, {}, cfg.output_dir).cells[0].errors
         assert len(errors) == 2 and all("line 2: not UTF-8" in e for e in errors)
+
+    def test_fixed_sweep_rerun_drops_earlier_errors(self, tmp_path):
+        # the first sweep's only cell fails on a missing dataset; once the
+        # file is there, a rerun into the same directory leaves no errors file
+        out, data = tmp_path / "sweep", tmp_path / "data.jsonl"
+        path = write_json(tmp_path / "config.json",
+                          dict(SMALL_RUN, seeds=[1], data_path=str(data), output_dir=str(out)))
+        grid = write_json(tmp_path / "grid.json", {})
+        assert main(["sweep", "--config", path, "--grid", grid]) == 0
+        assert list(json.loads((out / "sweep_errors.json").read_text())) == ["cell000"]
+        shutil.copy(FIXTURE, data)
+        assert main(["sweep", "--config", path, "--grid", grid]) == 0
+        with open(out / "sweep.csv") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["seed_count"] == "1" and row["mae_mean"] != ""
+        assert not (out / "sweep_errors.json").exists()
+        assert not list(out.glob("*.tmp"))
 
     @pytest.mark.parametrize("hidden_dim", [2**60, 10**13])
     def test_unallocatable_cell_recorded_and_sweep_exits_0(self, tmp_path, hidden_dim):

@@ -31,7 +31,7 @@ from feduaf.fedsim import (
 )
 from feduaf.fusion import MODALITIES
 from feduaf.model import ModelParams, extract_shared
-from feduaf.nn import DenseLayer, Mlp
+from feduaf.nn import Mlp
 from feduaf.rng import Rng
 
 SMOKE = {
@@ -258,10 +258,10 @@ class TestLocalUpdate:
         # start positive, the label lies above the first prediction, and
         # the recorded gates show it)
         dim = 3
-        eye = lambda: DenseLayer(np.eye(dim) * 0.5, np.zeros(dim))
+        eye = lambda: (np.eye(dim) * 0.5, np.zeros(dim))
         model = ModelParams(
             encoders={m: Mlp([eye()]) for m in MODALITIES},
-            heads=Mlp([eye(), DenseLayer(np.full((1, dim), 0.3), np.zeros(1))]),
+            heads=Mlp([eye(), (np.full((1, dim), 0.3), np.zeros(1))]),
         )
         gates = []
         forward = feduaf.model.forward
@@ -336,9 +336,9 @@ class TestEvaluateMae:
         state = init_federation(cfg, 1)
         for client in state.clients:
             for _, mlp in client.model.components():
-                for layer in mlp.layers:
-                    layer.weights[...] = 0.0
-                    layer.bias[...] = 0.0
+                for w, b in mlp.layers:
+                    w[...] = 0.0
+                    b[...] = 0.0
         return state, cfg
 
     def test_zero_model_mae_equals_mean_abs_label(self):
@@ -463,7 +463,8 @@ class TestRounds:
         cfg = smoke_config(data_path=str(data), federation={"feature_dim": 7})
         state = init_federation(cfg, 1)
         for client in state.clients:
-            widths = {m: enc.in_dim for m, enc in client.model.encoders.items()}
+            widths = {m: enc.layers[0][0].shape[1]
+                      for m, enc in client.model.encoders.items()}
             assert widths == {"v": 2, "a": 7, "t": 1}
         summary = run_simulation(cfg, 1, tmp_path / "run", n_threads=1)
         assert summary["rounds_completed"] == cfg.training.rounds

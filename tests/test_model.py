@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import feduaf.model
-from feduaf.exceptions import NumericError, ShapeError
+from feduaf.exceptions import NumericError
 from feduaf.fusion import MODALITIES
 from feduaf.model import (
     ModelParams,
@@ -16,7 +16,7 @@ from feduaf.model import (
     init_model_params,
     probe_predictions,
 )
-from feduaf.nn import DenseLayer, Mlp, mse_loss_batch
+from feduaf.nn import Mlp, mse_loss_batch
 from feduaf.rng import Rng
 
 from oracles import assert_grads_close, finite_difference_grads
@@ -73,6 +73,29 @@ UPLOAD_NAMES = {
            "encoder.t.layers.1.weight", "encoder.t.layers.1.bias",
            "shared_head.layers.0.weight", "shared_head.layers.0.bias"],
 }
+
+# the layout of test_deeper_hand_built_model_is_packed: encoders
+# (v, a, t) = (2, 1, 3) -> 3 -> 2, heads 2 -> 4 -> 3 -> 1
+DEEP_LAYOUT = [
+    ("encoder.v.layers.0.weight", 0, (3, 2)),
+    ("encoder.v.layers.0.bias", 6, (3,)),
+    ("encoder.v.layers.1.weight", 9, (2, 3)),
+    ("encoder.v.layers.1.bias", 15, (2,)),
+    ("encoder.a.layers.0.weight", 17, (3, 1)),
+    ("encoder.a.layers.0.bias", 20, (3,)),
+    ("encoder.a.layers.1.weight", 23, (2, 3)),
+    ("encoder.a.layers.1.bias", 29, (2,)),
+    ("encoder.t.layers.0.weight", 31, (3, 3)),
+    ("encoder.t.layers.0.bias", 40, (3,)),
+    ("encoder.t.layers.1.weight", 43, (2, 3)),
+    ("encoder.t.layers.1.bias", 49, (2,)),
+    ("shared_head.layers.0.weight", 51, (4, 2)),
+    ("shared_head.layers.0.bias", 59, (4,)),
+    ("shared_head.layers.1.weight", 63, (3, 4)),
+    ("shared_head.layers.1.bias", 75, (3,)),
+    ("prediction_head.layers.0.weight", 78, (1, 3)),
+    ("prediction_head.layers.0.bias", 81, (1,)),
+]
 
 
 def random_batch(b=4, seed=1):
@@ -174,22 +197,22 @@ class TestBackwardFused:
         analytic = backward_fused(model, tape, dpreds, grad_buffer(model))
 
         def loss_fn():
-            out = np.zeros((len(labels), model.heads.in_dim))
+            out = np.zeros((len(labels), model.heads.layers[0][0].shape[1]))
             for mi, m in enumerate(MODALITIES):
                 rows = tape.rows[m]
                 a = feats[m][rows]
                 mlp = model.encoders[m]
                 t = tape.encoder_tapes[m]
-                for li, layer in enumerate(mlp.layers):
-                    z = a @ layer.weights.T + layer.bias
+                for li, (w, b) in enumerate(mlp.layers):
+                    z = a @ w.T + b
                     if li < len(mlp.layers) - 1:
                         a = np.where((z > 0) & t.gates[li], z / t.keep, 0.0)
                     else:
                         a = z
                 out[rows] += alpha[rows, mi:mi + 1] * a
             t = tape.head_tape
-            for li, layer in enumerate(model.heads.layers):
-                z = out @ layer.weights.T + layer.bias
+            for li, (w, b) in enumerate(model.heads.layers):
+                z = out @ w.T + b
                 if li < len(model.heads.layers) - 1:
                     out = np.where((z > 0) & t.gates[li], z / t.keep, 0.0)
                 else:
@@ -203,7 +226,7 @@ class TestBackwardFused:
 class TestSharedBlock:
     def test_upload_contains_only_shared_head_by_default(self):
         model = tiny_model()
-        names = [name for name, _ in extract_shared(model)]
+        names = [name for name, _ in extract_shared(model, False)]
         assert names and all(n.startswith("shared_head.") for n in names)
 
     def test_share_encoders_flag_widens_block(self):
@@ -214,18 +237,17 @@ class TestSharedBlock:
 
     def test_assign_round_trip(self):
         src, dst = tiny_model(seed=1), tiny_model(seed=2)
-        assign_shared(dst, extract_shared(src))
-        for a, b in zip(src.heads.layers[:-1], dst.heads.layers[:-1]):
-            assert np.array_equal(a.weights, b.weights)
+        assign_shared(dst, extract_shared(src, False), False)
+        for (w_src, _), (w_dst, _) in zip(src.heads.layers[:-1], dst.heads.layers[:-1]):
+            assert np.array_equal(w_src, w_dst)
         # encoders untouched
-        assert not np.array_equal(src.encoders["v"].layers[0].weights,
-                                  dst.encoders["v"].layers[0].weights)
+        assert not np.array_equal(src.encoders["v"].layers[0][0],
+                                  dst.encoders["v"].layers[0][0])
 
     def test_layers_are_views_into_theta(self):
         model = tiny_model()
         mlps = [mlp for _, mlp in model.components()]
-        arrays = [a for mlp in mlps for layer in mlp.layers
-                  for a in (layer.weights, layer.bias)]
+        arrays = [a for mlp in mlps for layer in mlp.layers for a in layer]
         assert all(np.shares_memory(a, model.theta) for a in arrays)
         assert model.theta.size == sum(a.size for a in arrays)
         model.theta[:] = 0.0
@@ -256,19 +278,18 @@ class TestSharedBlock:
 
     def test_hand_built_model_is_packed(self):
         def linear(w):
-            return Mlp([DenseLayer(np.array(w, dtype=float), np.zeros(len(w)))])
+            return Mlp([(np.array(w, dtype=float), np.zeros(len(w)))])
 
         weights = {m: [[1.0 + i, 2.0], [3.0, 4.0 + i]] for i, m in enumerate(MODALITIES)}
         model = ModelParams(
             encoders={m: linear(w) for m, w in weights.items()},
-            heads=Mlp([DenseLayer(np.eye(2), np.ones(2)),
-                       DenseLayer(np.array([[0.5, -0.5]]), np.zeros(1))]),
+            heads=Mlp([(np.eye(2), np.ones(2)), (np.array([[0.5, -0.5]]), np.zeros(1))]),
         )
         assert model.theta.size == 3 * 6 + 6 + 3
         for m in MODALITIES:
-            layer = model.encoders[m].layers[0]
-            assert np.shares_memory(layer.weights, model.theta)
-            assert layer.weights.tolist() == weights[m]
+            w, _ = model.encoders[m].layers[0]
+            assert np.shares_memory(w, model.theta)
+            assert w.tolist() == weights[m]
         assert [n for n, _, _ in model.layout] == [
             f"encoder.{m}.layers.0.{attr}" for m in MODALITIES for attr in ("weight", "bias")
         ] + ["shared_head.layers.0.weight", "shared_head.layers.0.bias",
@@ -278,25 +299,38 @@ class TestSharedBlock:
         # a non-finite value inside the heads, which run as one network,
         # still raises, in the fused pass and in the probes
         model = tiny_model(dropout=0.2)
-        model.heads.layers[0].bias[:] = np.inf
+        model.heads.layers[0][1][:] = np.inf
         feats, alpha, _ = random_batch()
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             forward_fused(model, feats, alpha)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             probe_predictions(model, feats, np.ones((4, 3), dtype=bool), 3, Rng(1))
 
-    def test_single_layer_heads_rejected(self):
-        # the heads are a shared layer followed by the prediction layer
-        model = tiny_model()
-        with pytest.raises(ShapeError, match="shared layer and a prediction layer"):
-            ModelParams(model.encoders, Mlp([DenseLayer(np.ones((1, 5)), np.zeros(1))]))
+    def test_deeper_hand_built_model_is_packed(self):
+        # two-layer encoders, and heads of two shared layers then the
+        # prediction layer
+        rng = Rng(5)
 
-    def test_invariant_validation(self):
-        model = tiny_model()
-        model.heads.layers[-1].weights = np.zeros((2, 6))
-        model.heads.layers[-1].bias = np.zeros(2)
-        with pytest.raises(ShapeError):
-            model.validate()
+        def mlp(*dims):
+            return Mlp([(rng.normal(size=(d_out, d_in)), rng.normal(size=d_out))
+                        for d_in, d_out in zip(dims, dims[1:])])
+
+        encoders = {"v": mlp(2, 3, 2), "a": mlp(1, 3, 2), "t": mlp(3, 3, 2)}
+        heads = mlp(2, 4, 3, 1)
+        given = [[(w.copy(), b.copy()) for w, b in net.layers]
+                 for net in [encoders[m] for m in MODALITIES] + [heads]]
+        model = ModelParams(encoders, heads)
+        assert model.layout == DEEP_LAYOUT
+        assert model.theta.size == 82
+        assert model.shared_slice(False) == slice(51, 78)
+        assert model.shared_slice(True) == slice(0, 78)
+        assert [n for n, _ in extract_shared(model, False)] == [
+            n for n, _, _ in DEEP_LAYOUT[12:16]]
+        for (_, net), layers in zip(model.components(), given):
+            assert len(net.layers) == len(layers)
+            for (w, b), (w0, b0) in zip(net.layers, layers):
+                assert np.shares_memory(w, model.theta) and np.shares_memory(b, model.theta)
+                assert np.array_equal(w, w0) and np.array_equal(b, b0)
 
 
 class TestMcPaths:

@@ -5,10 +5,9 @@ Networks run on (B, d) batches only; single inputs are one-row batches."""
 import numpy as np
 import pytest
 
-from feduaf.exceptions import ConfigError, NumericError, ShapeError, StateError
+from feduaf.exceptions import NumericError, ShapeError
 from feduaf.nn import (
     AdamState,
-    DenseLayer,
     Mlp,
     adam_step,
     backward,
@@ -23,7 +22,7 @@ from oracles import assert_grads_close, finite_difference_grads
 
 def single_layer(w, b):
     """An affine map: a network's last layer has no relu."""
-    return Mlp([DenseLayer(np.array(w, dtype=float), np.array(b, dtype=float))])
+    return Mlp([(np.array(w, dtype=float), np.array(b, dtype=float))])
 
 
 def relu_layer(w, b, dropout_rate=0.0):
@@ -31,19 +30,18 @@ def relu_layer(w, b, dropout_rate=0.0):
     network's output is that layer's activation, exactly."""
     w = np.array(w, dtype=float)
     out = w.shape[0]
-    return Mlp([DenseLayer(w, np.array(b, dtype=float)),
-                DenseLayer(np.eye(out), np.zeros(out))], dropout_rate)
+    return Mlp([(w, np.array(b, dtype=float)), (np.eye(out), np.zeros(out))],
+               dropout_rate)
 
 
 def layer_arrays(mlp):
     """[w0, b0, w1, b1, ...] as views into the network."""
-    return [a for layer in mlp.layers for a in (layer.weights, layer.bias)]
+    return [a for layer in mlp.layers for a in layer]
 
 
 def grad_buffers(mlp):
     """One (d_weights, d_bias) pair of arrays per layer, for backward to fill."""
-    return [(np.empty_like(layer.weights), np.empty_like(layer.bias))
-            for layer in mlp.layers]
+    return [(np.empty_like(w), np.empty_like(b)) for w, b in mlp.layers]
 
 
 def grad_arrays(out):
@@ -114,8 +112,8 @@ class TestForward:
         rng = Rng(42)
         mlp = Mlp(
             [
-                DenseLayer(np.abs(rng.normal(size=(6, 3))) + 0.2, np.full(6, 0.1)),
-                DenseLayer(np.abs(rng.normal(size=(2, 6))) + 0.2, np.zeros(2)),
+                (np.abs(rng.normal(size=(6, 3))) + 0.2, np.full(6, 0.1)),
+                (np.abs(rng.normal(size=(2, 6))) + 0.2, np.zeros(2)),
             ],
             dropout_rate=0.5,
         )
@@ -192,16 +190,10 @@ class TestBackward:
         backward(mlp, tape, np.ones((1, 1)), grads)
         dw0 = grads[0][0]
         # a dropped unit contributes no gradient to its incoming weights
-        z = tape.inputs[0][0] @ mlp.layers[0].weights.T + mlp.layers[0].bias
+        w0, b0 = mlp.layers[0]
+        z = tape.inputs[0][0] @ w0.T + b0
         dropped_rows = ~mask & (z > 0)
         assert not dw0[dropped_rows].any()
-
-    def test_foreign_tape_raises(self):
-        mlp_a = init_mlp([2, 2], Rng(0))
-        mlp_b = init_mlp([2, 2], Rng(1))
-        _, tape = forward(mlp_a, np.zeros((1, 2)))
-        with pytest.raises(StateError):
-            backward(mlp_b, tape, np.zeros((1, 2)), grad_buffers(mlp_b))
 
 
 class TestAdam:
@@ -261,12 +253,6 @@ class TestAdam:
         assert np.array_equal(flat_state.first_moment[0], ref_m)
         assert np.array_equal(flat_state.second_moment[0], ref_v)
 
-    def test_shape_mismatch_raises(self):
-        w = np.zeros(3)
-        state = AdamState.init_for([w], lr=1e-3)
-        with pytest.raises(ShapeError):
-            adam_step([w], [np.zeros(4)], state)
-
     def test_deterministic_training(self):
         def train(seed):
             mlp = init_mlp([4, 6, 1], Rng(seed))
@@ -322,27 +308,6 @@ class TestMseLoss:
             assert grad[i] == pytest.approx(2.0 * errors[i] / 3)
 
 
-class TestValidation:
-    def test_dropout_rate_one_rejected(self):
-        mlp = init_mlp([2, 2], Rng(0))
-        mlp.dropout_rate = 1.0
-        with pytest.raises(ConfigError):
-            mlp.validate()
-
-    def test_unchained_dims_rejected(self):
-        bad = Mlp([
-            DenseLayer(np.zeros((3, 2)), np.zeros(3)),
-            DenseLayer(np.zeros((1, 4)), np.zeros(1)),
-        ])
-        with pytest.raises(ShapeError):
-            bad.validate()
-
-    def test_nonfinite_weights_rejected(self):
-        layer = DenseLayer(np.array([[np.inf]]), np.zeros(1))
-        with pytest.raises(NumericError):
-            layer.validate()
-
-
 def test_relu_dropout_masks_and_scales():
     # relu, then inverted dropout at keep 0.5: kept positive units double
     mlp = relu_layer(np.eye(3), np.zeros(3), dropout_rate=0.5)
@@ -363,8 +328,8 @@ def test_gates_match_where_reference_bit_for_bit(rng_given, dropout_rate):
     # drawn from the same stream in the same order
     rng = Rng(4)
     mlp = init_mlp([5, 9, 8, 3], rng, dropout_rate)
-    for layer in mlp.layers:
-        layer.bias += rng.normal(0.0, 0.5, size=layer.bias.shape)
+    for _, b in mlp.layers:
+        b += rng.normal(0.0, 0.5, size=b.shape)
     x = rng.normal(size=(7, 5))
     g = rng.normal(size=(7, 3))
     out, tape = forward(mlp, x, Rng(8) if rng_given else None)
@@ -376,8 +341,8 @@ def test_gates_match_where_reference_bit_for_bit(rng_given, dropout_rate):
     use_dropout = rng_given and dropout_rate > 0.0
     last = len(mlp.layers) - 1
     a, inputs, zs, masks = x, [], [], []
-    for i, layer in enumerate(mlp.layers):
-        z = a @ layer.weights.T + layer.bias
+    for i, (w, b) in enumerate(mlp.layers):
+        z = a @ w.T + b
         inputs.append(a)
         zs.append(z)
         mask = draws.random(z.shape) < keep if use_dropout and i < last else None
@@ -390,7 +355,7 @@ def test_gates_match_where_reference_bit_for_bit(rng_given, dropout_rate):
             a = np.where((z > 0.0) & mask, z / keep, 0.0)
     np.testing.assert_array_equal(out, a)
     for i in range(len(mlp.layers) - 1, -1, -1):
-        layer, z, mask = mlp.layers[i], zs[i], masks[i]
+        (w, _), z, mask = mlp.layers[i], zs[i], masks[i]
         if i == last:
             gz = g
         elif mask is None:
@@ -399,7 +364,7 @@ def test_gates_match_where_reference_bit_for_bit(rng_given, dropout_rate):
             gz = np.where((z > 0.0) & mask, g / keep, 0.0)
         np.testing.assert_array_equal(grads[i][0], gz.T @ inputs[i])
         np.testing.assert_array_equal(grads[i][1], gz.sum(axis=0))
-        g = gz @ layer.weights
+        g = gz @ w
     np.testing.assert_array_equal(input_grad, g)
     # one gate per hidden layer; the affine output layer has none
     assert len(tape.gates) == last

@@ -33,28 +33,28 @@ def test_file_round_trip_is_bit_exact(tmp_path):
 
 def test_assign_round_trip(tmp_path):
     src, dst = model(1), model(2)
-    save_params(tmp_path / "params.json", extract_shared(src))
-    assign_shared(dst, load_params(tmp_path / "params.json"))
-    for ls, ld in zip(src.heads.layers[:-1], dst.heads.layers[:-1]):
-        assert np.array_equal(ls.weights, ld.weights)
-        assert np.array_equal(ls.bias, ld.bias)
+    save_params(tmp_path / "params.json", extract_shared(src, False))
+    assign_shared(dst, load_params(tmp_path / "params.json"), False)
+    for (w_src, b_src), (w_dst, b_dst) in zip(src.heads.layers[:-1], dst.heads.layers[:-1]):
+        assert np.array_equal(w_src, w_dst)
+        assert np.array_equal(b_src, b_dst)
 
 
 def test_assign_rejects_shape_mismatch():
     src, dst = model(1), model(2, hidden=4)
     with pytest.raises(ShapeError):
-        assign_shared(dst, from_container(to_container(extract_shared(src))))
+        assign_shared(dst, from_container(to_container(extract_shared(src, False))), False)
 
 
 def test_assign_rejects_missing_tensor():
-    tensors = extract_shared(model(2))
+    tensors = extract_shared(model(2), False)
     name, arr = tensors[0]
     for bad in ([], tensors[1:], tensors + [("junk.extra", arr)],
                 tensors + [(name, np.zeros_like(arr))]):
         dst = model(2)
         with pytest.raises(ShapeError):
-            assign_shared(dst, bad)
-        assert np.array_equal(dst.heads.layers[0].weights, arr)
+            assign_shared(dst, bad, False)
+        assert np.array_equal(dst.heads.layers[0][0], arr)
 
 
 def test_container_rejects_wrong_format():

@@ -40,7 +40,7 @@ def sample_mc(model, features, T, rng):
     where missing, and T fused predictions (T,) under the weights they
     imply, all drawn from `rng` in that order."""
     mask = np.array([[m in features for m in MODALITIES]])
-    feats = {m: features.get(m, np.zeros(model.encoders[m].in_dim))[None, :]
+    feats = {m: features.get(m, np.zeros(model.encoders[m].layers[0][0].shape[1]))[None, :]
              for m in MODALITIES}
     u = probe_uncertainties(model, feats, mask, T, rng)
     alpha = fusion_weights_batch(u, mask)
