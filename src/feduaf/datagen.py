@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import (FederationSpec, from_dict, is_finite_list, is_finite_number,
                      is_text, open_input, unique_keys)
-from .exceptions import ConfigError, ParseError, ValidationError
+from .exceptions import ParseError, ValidationError
 from .fusion import MODALITIES
 from .rng import Rng
 
@@ -140,8 +140,6 @@ def draw_missing_masks(n: int, rho_m: float, rng: Rng):
 
 def mark_noisy_clients(clients: list, noisy_ratio: float, rng: Rng) -> list:
     """Flag exactly round(ratio * K) clients, chosen uniformly without replacement."""
-    if not 0.0 <= noisy_ratio <= 1.0:
-        raise ConfigError(f"noisy_ratio must be in [0, 1], got {noisy_ratio}")
     k = len(clients)
     n_noisy = int(round(noisy_ratio * k))
     chosen = set(int(i) for i in rng.choice(k, size=n_noisy, replace=False))

@@ -34,7 +34,7 @@ class DegenerateInputError(FeduafError):
 
 
 class ProtocolError(FeduafError):
-    """Federated protocol violation (empty update set, shape drift)."""
+    """A client reliability that is not finite and positive."""
 
 
 CONFIG_EXIT_ERRORS = (ConfigError, ValidationError)

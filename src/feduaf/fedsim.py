@@ -5,8 +5,9 @@ from the shared representation block the server last broadcast, upload the
 (possibly perturbed) block plus a scalar reliability score, and the server
 aggregates under the configured strategy, broadcasts the result to every
 client and evaluates. Client work is independent given its derived rng
-stream, so parallel and serial execution are bit-identical; aggregation
-always sums in sorted client order.
+stream, so parallel and serial execution are bit-identical; `run_round`
+hands the server its uploads in client_id order, so aggregation always sums
+in that order.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DATA_SIZE, FEDPROX, RELIABILITY_WEIGHTED, UNIFORM
+from .config import FEDPROX, RELIABILITY_WEIGHTED, UNIFORM
 from .datagen import (
     ClientData,
     Samples,
@@ -31,7 +32,7 @@ from .datagen import (
     mark_noisy_clients,
     split_dataset,
 )
-from .exceptions import ConfigError, NumericError, ProtocolError, ShapeError
+from .exceptions import ConfigError, NumericError, ProtocolError
 from .fusion import fusion_weights_batch, uniform_fusion_weights_batch
 from .model import (
     ModelParams,
@@ -90,8 +91,6 @@ def effective_strategy(config) -> str:
 
 def normalize_reliabilities(updates: list) -> np.ndarray:
     """Weights proportional to reliability, summing to 1."""
-    if not updates:
-        raise ProtocolError("no client updates to normalize")
     r = np.array([u.reliability for u in updates], dtype=np.float64)
     if not np.isfinite(r).all() or (r <= 0).any():
         raise ProtocolError("reliabilities must be finite and positive")
@@ -103,36 +102,22 @@ def aggregation_weights(updates: list, strategy: str) -> np.ndarray:
         return normalize_reliabilities(updates)
     if strategy == UNIFORM:
         return np.full(len(updates), 1.0 / len(updates))
-    if strategy in (DATA_SIZE, FEDPROX):
-        n = np.array([u.num_samples for u in updates], dtype=np.float64)
-        if (n <= 0).any():
-            raise ProtocolError("num_samples must be positive for data-size weights")
-        return n / n.sum()
-    raise ConfigError(f"unknown aggregation strategy {strategy!r}")
+    # data_size and fedprox weigh by train-set size
+    n = np.array([u.num_samples for u in updates], dtype=np.float64)
+    return n / n.sum()
 
 
-def aggregate(updates: list, strategy: str) -> list:
-    """Weighted average of uploaded blocks in sorted client order.
+def aggregate(updates: list, weights: np.ndarray) -> list:
+    """Average of the uploaded blocks under `weights`, one per upload,
+    summed in the order the uploads are given.
 
     The result is clamped to the coordinate-wise [min, max] of the uploads
     so the convex-combination guarantee survives float rounding.
     """
-    if not updates:
-        raise ProtocolError("cannot aggregate an empty update set")
-    updates = sorted(updates, key=lambda u: u.client_id)
-    w = aggregation_weights(updates, strategy)
-    names = [name for name, _ in updates[0].shared_params]
-    for u in updates[1:]:
-        if [name for name, _ in u.shared_params] != names:
-            raise ProtocolError("uploads carry different tensor sets")
     out = []
-    for ti, name in enumerate(names):
-        shape = updates[0].shared_params[ti][1].shape
-        for u in updates:
-            if u.shared_params[ti][1].shape != shape:
-                raise ProtocolError(f"shape mismatch for tensor {name!r}")
+    for ti, (name, _) in enumerate(updates[0].shared_params):
         stack = np.stack([u.shared_params[ti][1] for u in updates])
-        agg = np.tensordot(w, stack, axes=1)
+        agg = np.tensordot(weights, stack, axes=1)
         np.clip(agg, stack.min(axis=0), stack.max(axis=0), out=agg)
         out.append((name, agg))
     return out
@@ -140,8 +125,6 @@ def aggregate(updates: list, strategy: str) -> list:
 
 def perturb_update(tensors: list, gamma: float, rng: Rng) -> list:
     """Add zero-mean Gaussian noise scaled per tensor by gamma * its std."""
-    if gamma < 0:
-        raise ConfigError(f"gamma must be >= 0, got {gamma}")
     out = []
     for name, arr in tensors:
         std = float(arr.std())
@@ -154,10 +137,6 @@ def perturb_update(tensors: list, gamma: float, rng: Rng) -> list:
 
 def fedprox_penalty(theta: np.ndarray, anchor: np.ndarray, mu: float):
     """Proximal term (mu/2)*||theta - anchor||^2 and its gradient."""
-    if mu < 0:
-        raise ConfigError(f"mu must be >= 0, got {mu}")
-    if theta.shape != anchor.shape:
-        raise ShapeError(f"shape mismatch {theta.shape} vs {anchor.shape}")
     diff = theta - anchor
     return 0.5 * mu * float((diff * diff).sum()), mu * diff
 
@@ -194,8 +173,6 @@ def local_update(client: ClientRuntime, config, rng: Rng):
     """
     cid = client.data.client_id
     train = client.data.train.samples
-    if not len(train):
-        raise ConfigError(f"client {cid!r} has an empty training set")
     share_enc = config.share_encoders
     theta = client.model.theta
     adam = AdamState.init_for([theta], lr=config.training.lr)
@@ -251,8 +228,6 @@ def evaluate_mae(clients: list, config, rng: Rng, collect: list | None = None) -
     for client in clients:
         cid = client.data.client_id
         test = client.data.test.samples
-        if not len(test):
-            raise ConfigError(f"client {cid!r} has an empty test set")
         alpha = _batch_fusion_weights(client.model, test, config, rng.derive(cid))
         preds = forward_fused(client.model, test.feats, alpha)[0]
         client_maes.append(float(np.mean(np.abs(preds - test.labels))))
@@ -311,9 +286,8 @@ def run_round(state: FederationState, config, run_rng: Rng,
     # in client_id order: `selected` is sorted and so is state.clients
     results = _map(work, selected, n_threads)
     updates = [update for update, _ in results]
-    strategy = effective_strategy(config)
-    weights = aggregation_weights(updates, strategy)
-    state.shared = aggregate(updates, strategy)
+    weights = aggregation_weights(updates, effective_strategy(config))
+    state.shared = aggregate(updates, weights)
     for client in state.clients:
         assign_shared(client.model, state.shared, config.share_encoders)
     mae = evaluate_mae(state.clients, config, run_rng.derive("eval", r))
@@ -399,7 +373,10 @@ def replacing(path):
 def run_simulation(config, seed: int, run_dir, n_threads: int | None = None) -> dict:
     """Execute a full run and write rounds.jsonl, then shared_params.json and
     summary.json, to run_dir. The last two are removed first, so a run that
-    stops early leaves neither from an earlier run beside its rounds."""
+    stops early, even before its first round, leaves neither from an earlier
+    run in run_dir."""
+    for name in ("summary.json", "shared_params.json"):
+        Path(run_dir, name).unlink(missing_ok=True)  # creates no directory
     if n_threads is None:
         n_threads = threads_from_env()
     t_start = time.perf_counter()
@@ -407,8 +384,6 @@ def run_simulation(config, seed: int, run_dir, n_threads: int | None = None) -> 
     run_rng = Rng(seed).derive("protocol")
     initial_mae = evaluate_mae(state.clients, config, run_rng.derive("eval", 0))
     os.makedirs(run_dir, exist_ok=True)  # a run that fails before here leaves no directory
-    for name in ("summary.json", "shared_params.json"):
-        Path(run_dir, name).unlink(missing_ok=True)
     with open(os.path.join(run_dir, "rounds.jsonl"), "w", encoding="utf-8") as fh:
         for _ in range(config.training.rounds):
             report = run_round(state, config, run_rng, n_threads=n_threads)

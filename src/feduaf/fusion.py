@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DegenerateInputError, ShapeError
+from .exceptions import DegenerateInputError
 
 MODALITIES = ("v", "a", "t")
 
@@ -22,16 +22,12 @@ def fusion_weights_batch(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
     Unavailable entries get weight exactly 0, whatever u holds there. A
     probe variance is never negative, so a non-finite one has overflowed;
-    it gets weight 0, the softmax's own limit. Rows with nothing usable
-    raise.
+    it gets weight 0, the softmax's own limit. Rows with nothing usable,
+    all-masked rows included, raise.
     """
     u = np.asarray(u, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
-    if u.shape != mask.shape or u.ndim != 2 or u.shape[1] != len(MODALITIES):
-        raise ShapeError(f"expected (B, {len(MODALITIES)}) arrays, got {u.shape}")
     usable = mask & np.isfinite(u)
-    if not mask.any(axis=1).all():
-        raise DegenerateInputError("a row has all modalities masked")
     if not usable.any(axis=1).all():
         raise DegenerateInputError("a row has no finite uncertainty available")
     neg = np.where(usable, -u, -np.inf)
@@ -42,10 +38,7 @@ def fusion_weights_batch(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def uniform_fusion_weights_batch(mask: np.ndarray) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
-    counts = mask.sum(axis=1, keepdims=True)
-    if (counts == 0).any():
-        raise DegenerateInputError("a row has all modalities masked")
-    return np.where(mask, 1.0, 0.0) / counts
+    return np.where(mask, 1.0, 0.0) / mask.sum(axis=1, keepdims=True)
 
 
 def weighted_rows(alpha: np.ndarray) -> tuple:

@@ -21,6 +21,7 @@ from feduaf.datagen import load_jsonl, save_jsonl
 from feduaf.fedsim import (
     ClientUpdate,
     aggregate,
+    aggregation_weights,
     evaluate_mae,
     fedprox_penalty,
     init_federation,
@@ -110,7 +111,7 @@ def test_criterion_1_math_exact_suite():
                             float(rng.uniform(0.1, 10)), int(rng.integers(1, 50)))
                for i in range(k)]
         for strategy in ("reliability_weighted", "uniform", "data_size"):
-            agg = aggregate(ups, strategy)
+            agg = aggregate(ups, aggregation_weights(ups, strategy))
             for ti, (name, arr) in enumerate(agg):
                 stack = np.stack([u.shared_params[ti][1] for u in ups])
                 if (arr < stack.min(axis=0)).any() or (arr > stack.max(axis=0)).any():

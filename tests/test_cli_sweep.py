@@ -322,6 +322,17 @@ class TestCli:
         assert (out / "rounds.jsonl").read_text() == ""
         assert sorted(p.name for p in out.iterdir()) == ["rounds.jsonl"]
 
+    def test_rerun_failing_before_its_first_round_leaves_no_earlier_results(
+            self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = dict(SMALL_RUN, output_dir=str(out))
+        assert main(["run", "--config", write_json(tmp_path / "config.json", cfg)]) == 0
+        cfg["data_path"] = str(tmp_path / "missing.jsonl")
+        assert main(["run", "--config", write_json(tmp_path / "config.json", cfg)]) == 1
+        assert "missing.jsonl" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+        assert not (out / "shared_params.json").exists()
+
     def test_killed_rerun_leaves_no_earlier_summary(self, tmp_path):
         out = tmp_path / "out"
         cfg = dict(SMALL_RUN, output_dir=str(out))
@@ -500,6 +511,19 @@ class TestSweep:
         cell = result.cells[0]
         assert cell.mae_mean == pytest.approx(np.mean(cell.maes), abs=1e-15)
         assert cell.mae_std == pytest.approx(np.std(cell.maes), abs=1e-15)
+
+    def test_failed_rerun_of_a_cell_leaves_no_earlier_results(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = dict(SMALL_RUN, seeds=[1], output_dir=str(out))
+        grid = write_json(tmp_path / "grid.json", {"missing_ratio": [0.2]})
+        for data_path in (None, str(tmp_path / "missing.jsonl")):
+            path = write_json(tmp_path / "config.json", dict(cfg, data_path=data_path))
+            assert main(["sweep", "--config", path, "--grid", grid]) == 0
+        with open(out / "sweep.csv") as fh:
+            assert [r["seed_count"] for r in csv.DictReader(fh)] == ["0"]
+        run_dir = out / "cell000" / "seed1"
+        assert not (run_dir / "summary.json").exists()
+        assert not (run_dir / "shared_params.json").exists()
 
     def test_failed_cell_recorded_and_sweep_continues(self, tmp_path):
         # nonexistent data file fails every seed of every cell

@@ -10,6 +10,7 @@ from feduaf.datagen import (
     ClientDataset,
     FederationSpec,
     Samples,
+    _split_bounds,
     batch_from_samples,
     draw_missing_masks,
     generate_federation,
@@ -236,6 +237,12 @@ class TestSplit:
         assert np.concatenate([t.labels for t in splits(c)]).tolist() == list(range(n))
         assert np.array_equal(c.test.samples.feats["a"], table.feats["a"][n - expected[2]:])
 
+    def test_two_or_more_samples_give_a_train_and_a_test_row(self):
+        # local_update and evaluate_mae take these splits unchecked
+        for n in range(2, 201):
+            (tr_lo, tr_hi), _, (te_lo, te_hi) = _split_bounds(n)
+            assert tr_hi - tr_lo >= 1 and te_hi - te_lo >= 1, n
+
 
 class TestJsonl:
     def make_clients(self, seed=0):
@@ -298,6 +305,14 @@ class TestJsonl:
                             '"mask": {"v": 1, "a": 0, "t": 0}, "label": 0.5}\n' % vec)
             with pytest.raises(ValidationError, match="line 1"):
                 load_jsonl(path, 20)
+
+    def test_line_without_a_modality_rejected(self, tmp_path):
+        # fusion takes every loaded row to have an available modality
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"client_id": "c", "features": {}, '
+                        '"mask": {"v": 0, "a": 0, "t": 0}, "label": 0.5}\n')
+        with pytest.raises(ValidationError, match="line 1: sample has no available modality"):
+            load_jsonl(path, 20)
 
     def test_label_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -107,10 +107,6 @@ class TestUniformWeights:
         for mi, m in enumerate(MODALITIES):
             assert w[mi] == (pytest.approx(expected) if m in mods else 0.0)
 
-    def test_all_masked_raises(self):
-        with pytest.raises(DegenerateInputError):
-            uniform_fusion_weights_batch(mask_of())
-
 
 def fuse_one(reps: dict, alpha: dict) -> list:
     """fuse_batch on one row; reps[m] is given for the weighted modalities

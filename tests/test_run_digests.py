@@ -5,7 +5,9 @@ leave these files byte-identical, so a refactor shows here as a digest that
 did not move. The pins were taken with numpy 2.4.6 and its bundled
 scipy-openblas 0.3.31.188.0 (DYNAMIC_ARCH, Haswell kernels) on Python
 3.11.7; another BLAS build may pick other kernels and move the last bits,
-and then these pins, not the code, need retaking.
+and then these pins, not the code, need retaking. The benchmark's three
+workloads are pinned at seed 3 and their own thread counts, so a change
+whose benchmark rounds move shows here first.
 """
 
 import hashlib
@@ -49,8 +51,15 @@ def digest(path) -> str:
     (smoke(ablation={"rel_agg": False}), 2, "bfc02db176114566/21a236878be19b4e"),
     (FIXTURE_RUN, 1, "8a4a4ad0ea389466/5a4ddaa792f21312"),
     (dict(FIXTURE_RUN, share_encoders=True), 1, "0dd8a51aa68e8c97/a56eb6e211f598fe"),
+    *[(workloads.config_dict(name, SEED, "unused"), workloads.WORKLOADS[name]["threads"],
+       pinned) for name, pinned in [
+        ("feduaf_rho08", "417345d2319017e5/43cf4a80b732033e"),
+        ("fedprox_w32", "2ceadd9a435819ee/49461e46b9cbb851"),
+        ("scale_threads", "73c31f935473761c/fea0f14ad7ae0c23"),
+    ]],
 ], ids=["smoke-t1", "smoke-t2", "smoke-dropout0.7", "smoke-fedprox-uniform-fusion",
-       "smoke-uniform-agg", "fixture", "fixture-share-encoders"])
+       "smoke-uniform-agg", "fixture", "fixture-share-encoders",
+       "feduaf_rho08", "fedprox_w32", "scale_threads"])
 def test_run_bytes_pinned(tmp_path, raw, n_threads, pinned):
     run_dir = str(tmp_path / "run")
     run_simulation(config_from_dict(dict(raw, output_dir=run_dir)), SEED, run_dir,
