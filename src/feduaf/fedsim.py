@@ -364,18 +364,23 @@ def threads_from_env() -> int:
 @contextlib.contextmanager
 def replacing(path):
     """Yield a temporary name beside `path` for the block to write; it then
-    replaces `path` in one rename, so `path` is never seen half written."""
+    replaces `path` in one rename, so `path` is never seen half written. A
+    block that raises leaves no temporary file."""
     tmp = f"{path}.tmp"
-    yield tmp
+    try:
+        yield tmp
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
 def run_simulation(config, seed: int, run_dir, n_threads: int | None = None) -> dict:
     """Execute a full run and write rounds.jsonl, then shared_params.json and
-    summary.json, to run_dir. The last two are removed first, so a run that
-    stops early, even before its first round, leaves neither from an earlier
+    summary.json, to run_dir. All three are removed first, so a run that
+    stops early, even before its first round, leaves none from an earlier
     run in run_dir."""
-    for name in ("summary.json", "shared_params.json"):
+    for name in ("rounds.jsonl", "summary.json", "shared_params.json"):
         Path(run_dir, name).unlink(missing_ok=True)  # creates no directory
     if n_threads is None:
         n_threads = threads_from_env()

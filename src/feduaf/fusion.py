@@ -25,8 +25,6 @@ def fusion_weights_batch(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
     it gets weight 0, the softmax's own limit. Rows with nothing usable,
     all-masked rows included, raise.
     """
-    u = np.asarray(u, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
     usable = mask & np.isfinite(u)
     if not usable.any(axis=1).all():
         raise DegenerateInputError("a row has no finite uncertainty available")
@@ -37,7 +35,6 @@ def fusion_weights_batch(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def uniform_fusion_weights_batch(mask: np.ndarray) -> np.ndarray:
-    mask = np.asarray(mask, dtype=bool)
     return np.where(mask, 1.0, 0.0) / mask.sum(axis=1, keepdims=True)
 
 

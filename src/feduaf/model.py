@@ -123,8 +123,9 @@ class FusedTape:
 
 def _run_heads(model: ModelParams, h: np.ndarray, rng: Rng | None):
     """The heads' forward call; (output (B, 1), tape). Raises NumericError
-    on a non-finite output, which is also where a non-finite hidden output
-    shows."""
+    on a non-finite output: the one divergence check of every pass. A
+    non-finite weight or activation anywhere upstream shows here, since
+    NaN*0 and inf*0 are NaN and so cross the relu/dropout gates."""
     out, tape = forward(model.heads, h, rng)
     if not np.isfinite(out).all():
         raise NumericError("non-finite values in the heads' output")
@@ -140,15 +141,11 @@ def forward_fused(model: ModelParams, feats: dict, alpha: np.ndarray,
     its modality (other rows of `feats[m]` are never read), and still draws
     the dropout masks of all B rows. Returns (predictions (B,), tape).
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    b = alpha.shape[0]
+    b = len(alpha)
     rows, weights = weighted_rows(alpha)
     reps, enc_tapes = {}, {}
     for m in MODALITIES:
-        feat = np.asarray(feats[m], dtype=np.float64)
-        if len(feat) != b:
-            raise ShapeError(f"features of {m!r} have {len(feat)} rows, weights {b}")
-        reps[m], enc_tapes[m] = forward(model.encoders[m], feat.take(rows[m], axis=0),
+        reps[m], enc_tapes[m] = forward(model.encoders[m], feats[m].take(rows[m], axis=0),
                                         rng, rows=(b, rows[m]))
     out, head_tape = _run_heads(model, fuse_batch(reps, weights, rows, b), rng)
     return out[:, 0], FusedTape(enc_tapes, head_tape, rows, weights)
@@ -164,7 +161,6 @@ def backward_fused(model: ModelParams, tape: FusedTape, dpreds: np.ndarray,
     no row gets an exact zero gradient. Every slot of `grad` is overwritten,
     so one buffer serves every step.
     """
-    dpreds = np.asarray(dpreds, dtype=np.float64)
     grad, views = out
     dh = backward(model.heads, tape.head_tape, dpreds[:, None], views["heads"])
     for m in MODALITIES:
@@ -184,11 +180,9 @@ def probe_predictions(model: ModelParams, feats: dict, mask: np.ndarray,
     modalities then go through the heads in one pass.
     Every row draws fresh dropout masks.
     """
-    mask = np.asarray(mask, dtype=bool)
     reps = []
     for mi, m in enumerate(MODALITIES):
-        rows = np.asarray(feats[m], dtype=np.float64)[mask[:, mi]]
-        rep, _ = forward(model.encoders[m], np.tile(rows, (T, 1)), rng)
+        rep, _ = forward(model.encoders[m], np.tile(feats[m][mask[:, mi]], (T, 1)), rng)
         reps.append(rep)
     out, _ = _run_heads(model, np.concatenate(reps), rng)
     counts = mask.sum(axis=0)
@@ -199,10 +193,6 @@ def probe_predictions(model: ModelParams, feats: dict, mask: np.ndarray,
 def fused_mc_predictions(model: ModelParams, feats: dict, alpha: np.ndarray,
                          T: int, rng: Rng) -> np.ndarray:
     """T stochastic full-pipeline passes with fixed fusion weights; (T, B)."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    b = alpha.shape[0]
-    tiled_feats = {m: np.tile(np.asarray(feats[m], dtype=np.float64), (T, 1))
-                   for m in MODALITIES}
-    tiled_alpha = np.tile(alpha, (T, 1))
-    preds, _ = forward_fused(model, tiled_feats, tiled_alpha, rng)
-    return preds.reshape(T, b)
+    tiled_feats = {m: np.tile(feats[m], (T, 1)) for m in MODALITIES}
+    preds, _ = forward_fused(model, tiled_feats, np.tile(alpha, (T, 1)), rng)
+    return preds.reshape(T, len(alpha))

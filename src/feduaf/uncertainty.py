@@ -67,7 +67,6 @@ def probe_uncertainties(model: ModelParams, feats: dict, mask: np.ndarray,
     Runs T single-modality stochastic passes over the available rows only
     and takes each (sample, modality) pair's population variance.
     """
-    mask = np.asarray(mask, dtype=bool)
     u = np.full((mask.shape[0], len(MODALITIES)), np.nan)
     preds = probe_predictions(model, feats, mask, T, rng)
     for mi, m in enumerate(MODALITIES):

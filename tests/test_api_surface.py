@@ -1,5 +1,7 @@
 """No test-only API: every function, class and method in src/feduaf is used
 by the simulator or by the benchmark harness, and every parameter is read.
+The numeric core converts and checks none of the arrays the simulator hands
+it.
 
 A definition is live when live code refers to it. Module-level code in
 src/feduaf and all of perfbench/ is live, and so are the allowed names
@@ -123,3 +125,44 @@ def unused_parameters() -> list:
 def test_no_unused_parameters():
     unused = unused_parameters()
     assert not unused, f"parameters their function never reads: {unused}"
+
+
+# the modules that run on arrays the simulator built after its entry checks
+NUMERIC_CORE = ("nn", "model", "fusion", "uncertainty")
+# what each function may still do: assign_shared checks the tensors it is
+# handed, and criterion 3's subjects take plain lists
+CORE_EXEMPT = {
+    "assign_shared": {"ShapeError"},
+    "variance_uncertainty": {"np.asarray", "ConfigError"},
+    "entropy_uncertainty": {"np.asarray"},
+}
+
+
+def core_rechecks() -> list:
+    """`module:function.what` for every `np.asarray` call and every raise of
+    ShapeError or ConfigError in a function of the numeric core, nested ones
+    and methods included, that CORE_EXEMPT does not allow."""
+    found = []
+    for stem in NUMERIC_CORE:
+        module = ast.parse((ROOT / "src" / "feduaf" / f"{stem}.py").read_text())
+        for func in ast.walk(module):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.asarray":
+                    what = "np.asarray"
+                elif isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    what = ast.unparse(exc)
+                    if what not in ("ShapeError", "ConfigError"):
+                        continue
+                else:
+                    continue
+                if what not in CORE_EXEMPT.get(func.name, ()):
+                    found.append(f"{stem}:{func.name}.{what}")
+    return found
+
+
+def test_numeric_core_trusts_the_arrays_it_is_given():
+    found = core_rechecks()
+    assert not found, f"conversions and checks of arrays the simulator built: {found}"

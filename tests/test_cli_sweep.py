@@ -330,8 +330,23 @@ class TestCli:
         cfg["data_path"] = str(tmp_path / "missing.jsonl")
         assert main(["run", "--config", write_json(tmp_path / "config.json", cfg)]) == 1
         assert "missing.jsonl" in capsys.readouterr().err
+        assert not (out / "rounds.jsonl").exists()
         assert not (out / "summary.json").exists()
         assert not (out / "shared_params.json").exists()
+
+    def test_failed_params_write_leaves_no_partial_outputs(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # the disk fills while shared_params.json is half written
+        def full_disk(path, tensors):
+            Path(path).write_text('{"format"')
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("feduaf.fedsim.save_params", full_disk)
+        out = tmp_path / "out"
+        path = write_json(tmp_path / "config.json", dict(SMALL_RUN, output_dir=str(out)))
+        assert main(["run", "--config", path]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["rounds.jsonl"]
 
     def test_killed_rerun_leaves_no_earlier_summary(self, tmp_path):
         out = tmp_path / "out"
@@ -346,8 +361,10 @@ class TestCli:
                                 stderr=subprocess.DEVNULL)
         try:
             deadline = time.monotonic() + 120
-            # opening rounds.jsonl for writing truncates it, which moves its mtime
-            while rounds.stat().st_mtime_ns == before.st_mtime_ns:
+            # the rerun removes rounds.jsonl first, then opens a new one,
+            # which has another mtime
+            while (not rounds.exists()
+                   or rounds.stat().st_mtime_ns == before.st_mtime_ns):
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.005)
         finally:
@@ -522,8 +539,25 @@ class TestSweep:
         with open(out / "sweep.csv") as fh:
             assert [r["seed_count"] for r in csv.DictReader(fh)] == ["0"]
         run_dir = out / "cell000" / "seed1"
+        assert not (run_dir / "rounds.jsonl").exists()
         assert not (run_dir / "summary.json").exists()
         assert not (run_dir / "shared_params.json").exists()
+
+    def test_failed_csv_write_leaves_no_temporary_file(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def full_disk(path, cells):
+            Path(path).write_text("dataset_tag,")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("feduaf.sweep.write_sweep_csv", full_disk)
+        out = tmp_path / "out"
+        path = write_json(tmp_path / "config.json",
+                          dict(SMALL_RUN, seeds=[1], output_dir=str(out),
+                               data_path=str(tmp_path / "missing.jsonl")))
+        grid = write_json(tmp_path / "grid.json", {})
+        assert main(["sweep", "--config", path, "--grid", grid]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert not list(out.glob("*.tmp")) and not (out / "sweep.csv").exists()
 
     def test_failed_cell_recorded_and_sweep_continues(self, tmp_path):
         # nonexistent data file fails every seed of every cell

@@ -306,6 +306,24 @@ class TestSharedBlock:
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             probe_predictions(model, feats, np.ones((4, 3), dtype=bool), 3, Rng(1))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["first_weight", "first_bias", "last_weight"])
+    def test_nonfinite_encoder_value_raises(self, where, value):
+        # nothing checks an encoder's own output: NaN*0 and inf*0 are NaN, so
+        # a non-finite value crosses the relu/dropout gates and raises at
+        # the heads' output, in every kind of pass
+        model = tiny_model(dropout=0.2)
+        (w0, b0), (w1, _) = model.encoders["v"].layers
+        {"first_weight": w0, "first_bias": b0, "last_weight": w1}[where].flat[0] = value
+        feats, alpha, _ = random_batch()
+        mask = np.ones((4, 3), dtype=bool)
+        for run in (lambda: forward_fused(model, feats, alpha),
+                    lambda: forward_fused(model, feats, alpha, Rng(1)),
+                    lambda: probe_predictions(model, feats, mask, 3, Rng(1)),
+                    lambda: fused_mc_predictions(model, feats, alpha, 3, Rng(1))):
+            with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+                run()
+
     def test_deeper_hand_built_model_is_packed(self):
         # two-layer encoders, and heads of two shared layers then the
         # prediction layer

@@ -5,7 +5,6 @@ Networks run on (B, d) batches only; single inputs are one-row batches."""
 import numpy as np
 import pytest
 
-from feduaf.exceptions import NumericError, ShapeError
 from feduaf.nn import (
     AdamState,
     Mlp,
@@ -89,22 +88,6 @@ class TestForward:
         a, _ = forward(mlp, x, Rng(5))
         b, _ = forward(mlp, x)
         assert np.array_equal(a, b)
-
-    def test_dim_mismatch_raises(self):
-        mlp = init_mlp([3, 2], Rng(0))
-        with pytest.raises(ShapeError):
-            forward(mlp, np.zeros((1, 4)))
-        # a 1-D vector is not a batch, for forward and for backward
-        with pytest.raises(ShapeError):
-            forward(mlp, np.zeros(3))
-        _, tape = forward(mlp, np.zeros((1, 3)))
-        with pytest.raises(ShapeError):
-            backward(mlp, tape, np.zeros(2), grad_buffers(mlp))
-
-    def test_nonfinite_input_raises(self):
-        mlp = init_mlp([2, 2], Rng(0))
-        with pytest.raises(NumericError):
-            forward(mlp, np.array([[np.nan, 0.0]]))
 
     def test_train_dropout_mean_approaches_eval(self):
         # inverted dropout: E[train output] == eval output for a net whose
@@ -294,10 +277,6 @@ class TestMseLoss:
             fd = (mse_loss_batch(p + step, y)[0] - mse_loss_batch(p - step, y)[0]) / (2 * h)
             assert grad[i] == pytest.approx(fd, abs=1e-6)
 
-    def test_nonfinite_raises(self):
-        with pytest.raises(NumericError):
-            mse_loss_batch(np.array([float("inf")]), np.array([0.0]))
-
     def test_batch_matches_scalar_mean(self):
         preds = np.array([0.2, -1.0, 2.5])
         labels = np.array([0.0, -1.5, 2.0])
@@ -384,5 +363,3 @@ def test_rows_keep_the_whole_batch_masks():
         assert np.array_equal(gate, full_gate[idx])
     np.testing.assert_allclose(out, full_out[idx], rtol=1e-12)
     assert part_rng.random() == full_rng.random()
-    with pytest.raises(ShapeError):
-        forward(mlp, x[idx], Rng(2), rows=(9, idx[:3]))
