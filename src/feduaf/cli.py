@@ -2,9 +2,10 @@
 
 Subcommands: gen-data (write a synthetic federation as JSONL), run (single
 training run), sweep (grid x seeds with CSV aggregation), plotdata (tidy
-per-figure CSVs from a sweep). Exit codes: 0 success, 1 config/validation
-error, 2 runtime/numeric error, a failure to write outputs or a size that
-cannot be allocated or that numpy cannot represent.
+per-figure CSVs from a sweep). Exit codes, decided by `exceptions.failure`:
+0 success, 1 config/validation error, 2 runtime/numeric error, a failure to
+write outputs or a size that cannot be allocated or that numpy cannot
+represent.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import FederationSpec, from_dict, parse_config, read_json
+from .config import FederationSpec, from_dict, parse_config, read_json, replacing
 from .datagen import generate_federation, save_jsonl
-from .exceptions import CONFIG_EXIT_ERRORS, ConfigError, failure_message
+from .exceptions import ConfigError, failure
 from .sweep import emit_plotdata, run_sweep
 
 
@@ -26,7 +27,8 @@ def _cmd_gen_data(args) -> int:
         raise ConfigError("spec requires 'num_clients'")
     spec = replace(spec, seed=0 if spec.seed is None else spec.seed)
     clients = generate_federation(spec)
-    save_jsonl(args.out, clients)
+    with replacing(args.out) as tmp:
+        save_jsonl(tmp, clients)
     n_samples = sum(len(c.train.samples) + len(c.val.samples) + len(c.test.samples)
                     for c in clients)
     print(f"wrote {n_samples} samples for {len(clients)} clients to {args.out}")
@@ -100,15 +102,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CONFIG_EXIT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
-        message = failure_message(exc)
-        if message is None:
+        outcome = failure(exc)
+        if outcome is None:
             raise
-        print(f"runtime error: {message}", file=sys.stderr)
-        return 2
+        code, message = outcome
+        print(f"{'error' if code == 1 else 'runtime error'}: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -7,16 +7,21 @@ unknown keys and out-of-range values are errors that name the key.
 
 Each field declares its default and its rule once, next to each other, and
 `from_dict`, the one validator, checks a JSON object against them (an
-object built in Python goes through it as a dict). This module imports only
-`exceptions`, so every other module can import from it.
+object built in Python goes through it as a dict). The file helpers every
+command shares live here too: `open_input` and `read_json` for inputs,
+`replacing` for outputs. This module imports only `exceptions`, so every
+other module can import from it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from pathlib import Path
 
 from .exceptions import ConfigError, ParseError
 
@@ -211,6 +216,20 @@ def open_input(path, what: str, mode: str = "rb", **kwargs):
         raise ConfigError(f"{what} file not found: {path}")
     except IsADirectoryError:
         raise ConfigError(f"{what} path is a directory: {path}")
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """Yield a temporary name beside output file `path` for the block to
+    write; it then replaces `path` in one rename, so `path` is never seen
+    half written. A block or rename that fails leaves no temporary file."""
+    tmp = f"{path}.tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def unique_keys(pairs: list) -> dict:

@@ -1,7 +1,8 @@
-"""Error taxonomy shared across the simulator.
+"""Error taxonomy shared across the simulator, by what the user fixes.
 
-Config/validation problems exit the CLI with code 1, runtime/numeric
-problems with code 2; a sweep records either as a failed cell.
+`failure` decides what the commands report: a config or input problem exits
+the CLI with code 1, a run that fails with code 2; a sweep records either
+as a failed cell.
 """
 
 
@@ -14,30 +15,16 @@ class ConfigError(FeduafError):
 
 
 class ValidationError(FeduafError):
-    """Input data violates a documented schema or invariant."""
+    """Input data or tensors that violate a documented schema or shape."""
 
 
 class ParseError(ValidationError):
     """Unparseable input file (reported with a line number where possible)."""
 
 
-class ShapeError(FeduafError):
-    """Array dimensions do not match the declared contract."""
-
-
 class NumericError(FeduafError):
-    """Non-finite values where finite ones are required."""
+    """A run that diverged: non-finite values where finite ones are needed."""
 
-
-class DegenerateInputError(FeduafError):
-    """Input admits no prediction path (e.g. all modalities missing)."""
-
-
-class ProtocolError(FeduafError):
-    """A client reliability that is not finite and positive."""
-
-
-CONFIG_EXIT_ERRORS = (ConfigError, ValidationError)
 
 # how numpy refuses an array size it cannot represent; any other ValueError
 # or OverflowError is a bug and keeps its traceback
@@ -45,10 +32,14 @@ UNREPRESENTABLE = ("array is too big", "Maximum allowed dimension exceeded",
                    "Python int too large to convert to C")
 
 
-def failure_message(exc: Exception) -> str | None:
-    """The message the commands report for `exc`, or None for a bug."""
+def failure(exc: Exception) -> tuple[int, str] | None:
+    """(exit code, message) the commands report for `exc`, or None for a bug:
+    1 for a config or input the user corrects, 2 for a run that diverged,
+    could not write, or asked for a size that cannot be allocated."""
+    if isinstance(exc, (ConfigError, ValidationError)):
+        return 1, str(exc)
     if isinstance(exc, (FeduafError, OSError, MemoryError)):
-        return str(exc)
+        return 2, str(exc)
     if isinstance(exc, (ValueError, OverflowError)) and str(exc).startswith(UNREPRESENTABLE):
-        return f"a size numpy cannot represent: {exc}"
+        return 2, f"a size numpy cannot represent: {exc}"
     return None

@@ -12,7 +12,6 @@ in that order.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import time
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import FEDPROX, RELIABILITY_WEIGHTED, UNIFORM
+from .config import FEDPROX, RELIABILITY_WEIGHTED, UNIFORM, replacing
 from .datagen import (
     ClientData,
     Samples,
@@ -32,7 +31,7 @@ from .datagen import (
     mark_noisy_clients,
     split_dataset,
 )
-from .exceptions import ConfigError, NumericError, ProtocolError
+from .exceptions import ConfigError, NumericError
 from .fusion import fusion_weights_batch, uniform_fusion_weights_batch
 from .model import (
     ModelParams,
@@ -93,7 +92,7 @@ def normalize_reliabilities(updates: list) -> np.ndarray:
     """Weights proportional to reliability, summing to 1."""
     r = np.array([u.reliability for u in updates], dtype=np.float64)
     if not np.isfinite(r).all() or (r <= 0).any():
-        raise ProtocolError("reliabilities must be finite and positive")
+        raise NumericError("reliabilities must be finite and positive")
     return r / r.sum()
 
 
@@ -242,13 +241,15 @@ def evaluate_mae(clients: list, config, rng: Rng, collect: list | None = None) -
 
 # -------------------------------------------------------------- round loop
 
-def _map(fn, items: list, n_threads: int) -> list:
-    """[fn(x) for x in items] on up to `n_threads` threads, never more than
-    there are items; results keep the order of `items`."""
-    n_threads = min(n_threads, len(items))
-    if n_threads <= 1:
+def _map(fn, items: list, n_workers: int, executor) -> list:
+    """[fn(x) for x in items] on up to `n_workers` workers of `executor`
+    (a concurrent.futures class), never more than there are items, since a
+    process pool forks all of its workers up front; results keep the order
+    of `items`."""
+    n_workers = min(n_workers, len(items))
+    if n_workers <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+    with executor(max_workers=n_workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -284,7 +285,7 @@ def run_round(state: FederationState, config, run_rng: Rng,
             raise NumericError(f"round {r}: client {cid!r} diverged: {exc}") from exc
 
     # in client_id order: `selected` is sorted and so is state.clients
-    results = _map(work, selected, n_threads)
+    results = _map(work, selected, n_threads, ThreadPoolExecutor)
     updates = [update for update, _ in results]
     weights = aggregation_weights(updates, effective_strategy(config))
     state.shared = aggregate(updates, weights)
@@ -359,20 +360,6 @@ def threads_from_env() -> int:
     if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
         raise ConfigError(f"FEDUAF_THREADS must be an integer >= 1, got {raw!r}")
     return int(raw)
-
-
-@contextlib.contextmanager
-def replacing(path):
-    """Yield a temporary name beside `path` for the block to write; it then
-    replaces `path` in one rename, so `path` is never seen half written. A
-    block that raises leaves no temporary file."""
-    tmp = f"{path}.tmp"
-    try:
-        yield tmp
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
-    os.replace(tmp, path)
 
 
 def run_simulation(config, seed: int, run_dir, n_threads: int | None = None) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DegenerateInputError
+from .exceptions import NumericError
 
 MODALITIES = ("v", "a", "t")
 
@@ -27,7 +27,7 @@ def fusion_weights_batch(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """
     usable = mask & np.isfinite(u)
     if not usable.any(axis=1).all():
-        raise DegenerateInputError("a row has no finite uncertainty available")
+        raise NumericError("a row has no finite uncertainty available")
     neg = np.where(usable, -u, -np.inf)
     neg = neg - neg.max(axis=1, keepdims=True)
     expd = np.where(usable, np.exp(neg), 0.0)

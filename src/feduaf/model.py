@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import NumericError, ShapeError
+from .exceptions import NumericError, ValidationError
 from .fusion import MODALITIES, fuse_batch, weighted_rows
 from .nn import Mlp, Tape, backward, forward, init_mlp
 from .rng import Rng
@@ -104,10 +104,10 @@ def assign_shared(model: ModelParams, tensors: list, share_encoders: bool):
     layout = model.shared_layout(share_encoders)
     names = [name for name, _ in tensors]
     if names != [name for name, _, _ in layout]:
-        raise ShapeError(f"tensors {names} do not match the exchanged layout")
+        raise ValidationError(f"tensors {names} do not match the exchanged layout")
     for (name, src), (_, off, shape) in zip(tensors, layout):
         if src.shape != shape:
-            raise ShapeError(f"tensor {name!r} has shape {src.shape}, expected {shape}")
+            raise ValidationError(f"tensor {name!r} has shape {src.shape}, expected {shape}")
         model.theta[off:off + src.size] = src.ravel()
 
 

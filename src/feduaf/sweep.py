@@ -5,8 +5,8 @@ A grid is a JSON object whose keys are a subset of
 values are lists of settings. Every grid point runs once per seed; the
 sweep aggregates final-MAE mean/std per point into sweep.csv (fixed column
 set, rows in grid order, byte-deterministic). A run whose failure the CLI
-would report (`exceptions.failure_message`) is recorded in sweep_errors.json
-and the sweep continues; any other exception is a bug and propagates.
+would report (`exceptions.failure`) is recorded in sweep_errors.json and the
+sweep continues; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import STRATEGIES, ExperimentConfig, config_from_dict, open_input
-from .exceptions import ConfigError, ParseError, ValidationError, failure_message
-from .fedsim import replacing, run_simulation, threads_from_env
+from .config import STRATEGIES, ExperimentConfig, config_from_dict, open_input, replacing
+from .exceptions import ConfigError, ParseError, ValidationError, failure
+from .fedsim import _map, run_simulation, threads_from_env
 
 GRID_AXES = ("noniid_intensity", "missing_ratio", "noisy_ratio", "strategy", "ablation")
 
@@ -84,15 +84,14 @@ def apply_point(config: ExperimentConfig, point: dict) -> ExperimentConfig:
 
 
 def _run_cell_seed(args):
-    config_dict, seed, run_dir = args
-    config = config_from_dict(config_dict)
+    config, seed, run_dir = args
     try:
         summary = run_simulation(config, seed, run_dir, n_threads=1)
     except Exception as exc:  # a failed cell must not abort the sweep
-        message = failure_message(exc)
-        if message is None:
+        outcome = failure(exc)
+        if outcome is None:
             raise
-        return ("error", f"seed {seed}: {type(exc).__name__}: {message}")
+        return ("error", f"seed {seed}: {type(exc).__name__}: {outcome[1]}")
     return ("ok", summary["final_mae"])
 
 
@@ -105,22 +104,12 @@ def run_sweep(config: ExperimentConfig, grid_raw: dict, out_dir) -> SweepResult:
     os.makedirs(out_dir, exist_ok=True)  # a grid that fails validation leaves no directory
     errors_path = os.path.join(out_dir, "sweep_errors.json")
     Path(errors_path).unlink(missing_ok=True)  # it describes only this sweep's failures
-    jobs = []
-    for ci, cell in enumerate(cells):
-        for seed in config.seeds:
-            run_dir = os.path.join(out_dir, f"cell{ci:03d}", f"seed{seed}")
-            jobs.append((ci, (cell.config.to_dict(), seed, run_dir)))
-    n_workers = min(n_workers, len(jobs))  # a pool forks all its workers up front
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(_run_cell_seed, (j[1] for j in jobs)))
-    else:
-        outcomes = [_run_cell_seed(j[1]) for j in jobs]
+    jobs = [(ci, seed) for ci in range(len(cells)) for seed in config.seeds]
+    args = [(cells[ci].config, seed, os.path.join(out_dir, f"cell{ci:03d}", f"seed{seed}"))
+            for ci, seed in jobs]
+    outcomes = _map(_run_cell_seed, args, n_workers, ProcessPoolExecutor)
     for (ci, _), (status, payload) in zip(jobs, outcomes):
-        if status == "ok":
-            cells[ci].maes.append(payload)
-        else:
-            cells[ci].errors.append(payload)
+        (cells[ci].maes if status == "ok" else cells[ci].errors).append(payload)
     csv_path = os.path.join(out_dir, "sweep.csv")
     with replacing(csv_path) as tmp:
         write_sweep_csv(tmp, cells)
@@ -220,13 +209,16 @@ def _read_sweep_rows(sweep_csv) -> list:
 
 
 def emit_plotdata(sweep_csv, out_dir) -> list:
-    """Write one tidy per-figure CSV per varying numeric axis.
+    """Write one tidy per-figure CSV per varying numeric axis, in place of
+    every figure CSV an earlier call left in out_dir.
 
     Each output has the x-axis column first, then one mae_mean column per
     strategy/ablation series, rows sorted by x ascending.
     """
     rows = _read_sweep_rows(sweep_csv)
     os.makedirs(out_dir, exist_ok=True)
+    for _, fname in _PLOT_X_AXES:
+        Path(out_dir, fname).unlink(missing_ok=True)
     candidates = [(axis, fname) for axis, fname in _PLOT_X_AXES
                   if len({r[axis] for r in rows}) >= 2]
     if not candidates:
@@ -240,7 +232,7 @@ def emit_plotdata(sweep_csv, out_dir) -> list:
             if r["mae_mean"] is not None:
                 table.setdefault((r[axis], _series_label(r)), []).append(r["mae_mean"])
         path = os.path.join(out_dir, fname)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with replacing(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow([axis] + series)
             for x in xs:

@@ -132,16 +132,16 @@ NUMERIC_CORE = ("nn", "model", "fusion", "uncertainty")
 # what each function may still do: assign_shared checks the tensors it is
 # handed, and criterion 3's subjects take plain lists
 CORE_EXEMPT = {
-    "assign_shared": {"ShapeError"},
+    "assign_shared": {"ValidationError"},
     "variance_uncertainty": {"np.asarray", "ConfigError"},
-    "entropy_uncertainty": {"np.asarray"},
+    "entropy_uncertainty": {"np.asarray", "ValidationError"},
 }
 
 
 def core_rechecks() -> list:
     """`module:function.what` for every `np.asarray` call and every raise of
-    ShapeError or ConfigError in a function of the numeric core, nested ones
-    and methods included, that CORE_EXEMPT does not allow."""
+    ValidationError or ConfigError in a function of the numeric core, nested
+    ones and methods included, that CORE_EXEMPT does not allow."""
     found = []
     for stem in NUMERIC_CORE:
         module = ast.parse((ROOT / "src" / "feduaf" / f"{stem}.py").read_text())
@@ -154,7 +154,7 @@ def core_rechecks() -> list:
                 elif isinstance(node, ast.Raise) and node.exc is not None:
                     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                     what = ast.unparse(exc)
-                    if what not in ("ShapeError", "ConfigError"):
+                    if what not in ("ValidationError", "ConfigError"):
                         continue
                 else:
                     continue

@@ -106,6 +106,19 @@ class TestCli:
         assert main(["gen-data", "--spec", spec, "--out", str(tmp_path / "x")]) == 1
         assert "num_clients" in capsys.readouterr().err
 
+    def test_failed_gen_data_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # the disk fills while the JSONL is half written
+        def full_disk(path, clients):
+            Path(path).write_text('{"client_id"')
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("feduaf.cli.save_jsonl", full_disk)
+        spec = write_json(tmp_path / "spec.json", GEN_DATA_SPEC)
+        out = tmp_path / "data.jsonl"
+        assert main(["gen-data", "--spec", spec, "--out", str(out)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
     def test_gen_data_without_seed_matches_reference_file(self, tmp_path, capsys):
         # the reference file was written by the gen-data of the release before
         # FederationSpec became the federation config section
@@ -390,6 +403,23 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-m", "feduaf.cli", "run", "--config", path],
                               env=src_env(), capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0 and proc.stderr == ""
+
+    def test_overflowed_fusion_names_the_diverging_client(self, tmp_path, capsys):
+        # line 3 holds only modality a; a 1e200 feature there overflows its
+        # probe variance, which leaves that row no usable fusion weight
+        data = tmp_path / "data.jsonl"
+        lines = Path(FIXTURE).read_text().splitlines(keepends=True)
+        third = json.loads(lines[2])
+        third["features"]["a"][0] = 1e200
+        data.write_text("".join(lines[:2]) + json.dumps(third) + "\n" + "".join(lines[3:]))
+        path = write_json(tmp_path / "config.json", {
+            "data_path": str(data), "output_dir": str(tmp_path / "out"),
+            "federation": {"feature_dim": 4}, "model": {"hidden_dim": 8},
+            "training": {"rounds": 2, "local_epochs": 1}})
+        assert main(["run", "--config", path]) == 2
+        assert capsys.readouterr().err == ("runtime error: round 1: client 'spk_a' "
+                                           "diverged: a row has no finite uncertainty "
+                                           "available\n")
 
     def test_client_too_small_to_split_exits_1(self, tmp_path, capsys):
         # one sample gives client 'a' no train split; the run must stop
@@ -724,6 +754,22 @@ class TestPlotData:
             emit_plotdata(path, tmp_path / "figs")
         assert main(["plotdata", "--in", str(path), "--out", str(tmp_path / "figs")]) == 1
         assert "rho_m" in capsys.readouterr().err
+
+    def test_figures_of_an_earlier_call_are_removed(self, tmp_path, capsys):
+        # the second sweep varies another axis; its figures replace the first's
+        row = {"dataset_tag": "synthetic", "rho_m": "0.1", "noniid": "0.0",
+               "noisy_ratio": "0.0", "strategy": "uniform", "ua_fusion": "1",
+               "rel_agg": "1", "seed_count": "1", "mae_mean": "0.5", "mae_std": "0.0"}
+        figs = tmp_path / "figs"
+        for axis in ("rho_m", "noisy_ratio"):
+            path = tmp_path / f"sweep_{axis}.csv"
+            with open(path, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(row))
+                writer.writeheader()
+                writer.writerow(row)
+                writer.writerow(dict(row, **{axis: "0.3"}))
+            assert main(["plotdata", "--in", str(path), "--out", str(figs)]) == 0
+        assert sorted(p.name for p in figs.iterdir()) == ["fig_noisy_ratio.csv"]
 
     def test_missing_columns_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"

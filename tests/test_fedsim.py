@@ -13,7 +13,7 @@ import feduaf.fedsim
 import feduaf.model
 from feduaf.config import config_from_dict
 from feduaf.datagen import ClientData, ClientDataset, Samples, batch_from_samples
-from feduaf.exceptions import ProtocolError
+from feduaf.exceptions import NumericError
 from feduaf.fedsim import (
     ClientRuntime,
     ClientUpdate,
@@ -75,7 +75,7 @@ class TestNormalizeReliabilities:
         assert normalize_reliabilities([named_update("a", 0, 7.0)]).tolist() == [1.0]
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(NumericError):
             normalize_reliabilities([named_update("a", 0, 0.0)])
 
     def test_anti_monotone_in_uncertainty(self):

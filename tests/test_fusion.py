@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feduaf.exceptions import DegenerateInputError
+from feduaf.exceptions import NumericError
 from feduaf.fusion import (
     MODALITIES,
     fuse_batch,
@@ -56,7 +56,7 @@ class TestFusionWeights:
         assert w == {"v": 0.0, "a": 0.0, "t": 1.0}
 
     def test_all_masked_raises(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(NumericError):
             fusion_weights_batch(*one_row({}))
 
     def test_nonfinite_uncertainty_is_fail_soft(self):
@@ -177,5 +177,5 @@ class TestBatchedVariants:
             assert batch[i].tolist() == alone[0].tolist()
 
     def test_all_masked_row_raises(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(NumericError):
             fusion_weights_batch(np.zeros((1, 3)), np.zeros((1, 3), dtype=bool))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from feduaf.exceptions import ShapeError, ValidationError
+from feduaf.exceptions import ValidationError
 from feduaf.model import assign_shared, extract_shared, init_model_params
 from feduaf.rng import Rng
 from feduaf.serialize import (
@@ -42,7 +42,7 @@ def test_assign_round_trip(tmp_path):
 
 def test_assign_rejects_shape_mismatch():
     src, dst = model(1), model(2, hidden=4)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValidationError):
         assign_shared(dst, from_container(to_container(extract_shared(src, False))), False)
 
 
@@ -52,7 +52,7 @@ def test_assign_rejects_missing_tensor():
     for bad in ([], tensors[1:], tensors + [("junk.extra", arr)],
                 tensors + [(name, np.zeros_like(arr))]):
         dst = model(2)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValidationError):
             assign_shared(dst, bad, False)
         assert np.array_equal(dst.heads.layers[0][0], arr)
 

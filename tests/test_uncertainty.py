@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from feduaf.exceptions import ConfigError, DegenerateInputError, ValidationError
+from feduaf.exceptions import ConfigError, NumericError, ValidationError
 from feduaf.fusion import MODALITIES, fusion_weights_batch
 import feduaf.model
 from feduaf.model import fused_mc_predictions, init_model_params
@@ -152,7 +152,7 @@ class TestMcPredict:
         assert variance_uncertainty(preds) > 0.0
 
     def test_no_modalities_rejected(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(NumericError):
             sample_mc(tiny_model(), {}, 5, Rng(0))
 
 
