@@ -26,12 +26,11 @@ def _cmd_gen_data(args) -> int:
     if "num_clients" not in raw:
         raise ConfigError("spec requires 'num_clients'")
     spec = replace(spec, seed=0 if spec.seed is None else spec.seed)
-    clients = generate_federation(spec)
+    datasets = generate_federation(spec)
     with replacing(args.out) as tmp:
-        save_jsonl(tmp, clients)
-    n_samples = sum(len(c.train.samples) + len(c.val.samples) + len(c.test.samples)
-                    for c in clients)
-    print(f"wrote {n_samples} samples for {len(clients)} clients to {args.out}")
+        save_jsonl(tmp, datasets)
+    n_samples = sum(len(ds.samples) for ds in datasets)
+    print(f"wrote {n_samples} samples for {len(datasets)} clients to {args.out}")
     return 0
 
 

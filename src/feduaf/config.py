@@ -222,13 +222,16 @@ def open_input(path, what: str, mode: str = "rb", **kwargs):
 def replacing(path):
     """Yield a temporary name beside output file `path` for the block to
     write; it then replaces `path` in one rename, so `path` is never seen
-    half written. A block or rename that fails leaves no temporary file."""
+    half written. A block or rename that fails leaves no temporary file, and
+    an OSError of the block names `path`, not the temporary name."""
     tmp = f"{path}.tmp"
     try:
         yield tmp
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         Path(tmp).unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename2 is None:  # not the rename's
+            exc.filename = os.fspath(path)
         raise
 
 

@@ -12,12 +12,12 @@ speakers: one client, one style.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import (FederationSpec, from_dict, is_finite_list, is_finite_number,
-                     is_text, open_input, unique_keys)
+from .config import (FederationSpec, is_finite_list, is_finite_number, is_text,
+                     open_input, unique_keys)
 from .exceptions import ParseError, ValidationError
 from .fusion import MODALITIES
 from .rng import Rng
@@ -52,11 +52,10 @@ class ClientDataset:
 
 @dataclass
 class ClientData:
-    """One client's train/val/test datasets."""
+    """One client's train and test datasets, as the run splits and marks them."""
 
     client_id: str
     train: ClientDataset
-    val: ClientDataset
     test: ClientDataset
     is_noisy: bool = False
 
@@ -75,20 +74,20 @@ def _split_bounds(n: int) -> tuple:
 
 
 def split_dataset(dataset: ClientDataset) -> ClientData:
-    """Positional 70/10/20 train/val/test split (at least 1 train and 1 test)."""
+    """The train and test rows of `_split_bounds`; the run drops val."""
     cid, table = dataset.client_id, dataset.samples
+    train, _, test = _split_bounds(len(table))
     return ClientData(cid, *(ClientDataset(cid, batch_from_samples(table, slice(lo, hi)))
-                             for lo, hi in _split_bounds(len(table))))
+                             for lo, hi in (train, test)))
 
 
 def generate_federation(spec: FederationSpec) -> list:
-    """Generate the full synthetic federation described by `spec`.
+    """One unsplit ClientDataset table per client of the validated `spec`,
+    spk000 first.
 
     Deterministic in the spec: the same spec yields bit-identical data.
-    Missing-modality masks (one stream per split), `split_dataset`'s
-    positional split and noisy-client marking are applied here.
+    Missing-modality masks take one stream per range of `_split_bounds`.
     """
-    from_dict(FederationSpec, asdict(spec))
     master = Rng(spec.seed).derive("datagen")
     w = master.derive("label_weights").normal(size=spec.latent_dim)
     w *= LABEL_WEIGHT_NORM / np.linalg.norm(w)
@@ -116,10 +115,10 @@ def generate_federation(spec: FederationSpec) -> list:
             mask = np.concatenate([
                 draw_missing_masks(hi - lo, spec.missing_ratio, crng.derive("missing", split))
                 for split, (lo, hi) in zip(("train", "val", "test"), _split_bounds(n))])
-        clients.append(split_dataset(ClientDataset(cid, Samples(
+        clients.append(ClientDataset(cid, Samples(
             {m: np.where(mask[:, mi:mi + 1], feats[m], 0.0) for mi, m in enumerate(MODALITIES)},
-            mask, labels))))
-    return mark_noisy_clients(clients, spec.noisy_ratio, master.derive("noisy"))
+            mask, labels)))
+    return clients
 
 
 def draw_missing_masks(n: int, rho_m: float, rng: Rng):
@@ -159,26 +158,20 @@ def batch_from_samples(samples: Samples, idx) -> Samples:
 _SAMPLE_KEYS = {"client_id", "features", "mask", "label"}
 
 
-def save_jsonl(path, clients: list):
-    """Write one sample per line; ClientData splits are flattened in
-    train/val/test order so a positional re-split reproduces them."""
+def save_jsonl(path, datasets: list):
+    """Write each ClientDataset's table, one sample per line, in order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for client in clients:
-            if isinstance(client, ClientData):
-                datasets = (client.train, client.val, client.test)
-            else:
-                datasets = (client,)
-            for ds in datasets:
-                table = ds.samples
-                for i, row in enumerate(table.mask):
-                    rec = {
-                        "client_id": ds.client_id,
-                        "features": {m: table.feats[m][i].tolist()
-                                     for m, bit in zip(MODALITIES, row) if bit},
-                        "mask": {m: int(bit) for m, bit in zip(MODALITIES, row)},
-                        "label": float(table.labels[i]),
-                    }
-                    fh.write(json.dumps(rec) + "\n")
+        for ds in datasets:
+            table = ds.samples
+            for i, row in enumerate(table.mask):
+                rec = {
+                    "client_id": ds.client_id,
+                    "features": {m: table.feats[m][i].tolist()
+                                 for m, bit in zip(MODALITIES, row) if bit},
+                    "mask": {m: int(bit) for m, bit in zip(MODALITIES, row)},
+                    "label": float(table.labels[i]),
+                }
+                fh.write(json.dumps(rec) + "\n")
 
 
 def _parse_line(line: str, where: str, dims_seen: dict) -> tuple:

@@ -12,6 +12,7 @@ in that order.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -91,8 +92,11 @@ def effective_strategy(config) -> str:
 def normalize_reliabilities(updates: list) -> np.ndarray:
     """Weights proportional to reliability, summing to 1."""
     r = np.array([u.reliability for u in updates], dtype=np.float64)
-    if not np.isfinite(r).all() or (r <= 0).any():
-        raise NumericError("reliabilities must be finite and positive")
+    bad = ~(np.isfinite(r) & (r > 0))
+    if bad.any():
+        i = int(bad.argmax())
+        raise NumericError(f"client {updates[i].client_id!r} has reliability {r[i]}; "
+                           "reliabilities must be finite and positive")
     return r / r.sum()
 
 
@@ -140,6 +144,18 @@ def fedprox_penalty(theta: np.ndarray, anchor: np.ndarray, mu: float):
     return 0.5 * mu * float((diff * diff).sum()), mu * diff
 
 
+@contextlib.contextmanager
+def _naming(where: str):
+    """Prefix a NumericError raised in the block with `where`. A non-finite
+    value ends in such an error or in fusion's masking, not in numpy's
+    overflow warnings; errstate is per thread, so each worker sets its own."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except NumericError as exc:
+        raise NumericError(f"{where}: {exc}") from exc
+
+
 # -------------------------------------------------------------- client side
 
 def _batch_fusion_weights(model, samples: Samples, config, rng):
@@ -165,8 +181,8 @@ def local_update(client: ClientRuntime, config, rng: Rng):
     """One client's round: local epochs from the model as it stands (the
     broadcast has already put the global block in it), optional noisy
     perturbation of the shared block, reliability from post-perturbation
-    uncertainty, upload. `run_round` reports a NumericError raised here as
-    this client diverging in its round.
+    uncertainty, upload. `run_round` names the round and the client of a
+    NumericError raised here.
 
     Returns (ClientUpdate, mean batch loss).
     """
@@ -211,9 +227,6 @@ def local_update(client: ClientRuntime, config, rng: Rng):
 
 # -------------------------------------------------------------- evaluation
 
-# as in training, a non-finite value ends in a NumericError or in fusion's
-# masking, not in numpy's overflow warnings
-@np.errstate(over="ignore", invalid="ignore")
 def evaluate_mae(clients: list, config, rng: Rng, collect: list | None = None) -> float:
     """Average over clients of the mean absolute error on their test split,
     one client after another.
@@ -227,8 +240,9 @@ def evaluate_mae(clients: list, config, rng: Rng, collect: list | None = None) -
     for client in clients:
         cid = client.data.client_id
         test = client.data.test.samples
-        alpha = _batch_fusion_weights(client.model, test, config, rng.derive(cid))
-        preds = forward_fused(client.model, test.feats, alpha)[0]
+        with _naming(f"evaluating client {cid!r}"):
+            alpha = _batch_fusion_weights(client.model, test, config, rng.derive(cid))
+            preds = forward_fused(client.model, test.feats, alpha)[0]
         client_maes.append(float(np.mean(np.abs(preds - test.labels))))
         if collect is not None:
             collect.append({
@@ -275,23 +289,18 @@ def run_round(state: FederationState, config, run_rng: Rng,
     def work(i):
         client = state.clients[i]
         cid = client.data.client_id
-        rng_i = run_rng.derive("round", r, "client", cid)
-        try:
-            # a diverging client ends in the NumericError below, not in
-            # numpy's warnings; errstate is per thread, so it is set here
-            with np.errstate(over="ignore", invalid="ignore"):
-                return local_update(client, config, rng_i)
-        except NumericError as exc:
-            raise NumericError(f"round {r}: client {cid!r} diverged: {exc}") from exc
+        with _naming(f"round {r}: client {cid!r} diverged"):
+            return local_update(client, config, run_rng.derive("round", r, "client", cid))
 
     # in client_id order: `selected` is sorted and so is state.clients
     results = _map(work, selected, n_threads, ThreadPoolExecutor)
     updates = [update for update, _ in results]
-    weights = aggregation_weights(updates, effective_strategy(config))
-    state.shared = aggregate(updates, weights)
-    for client in state.clients:
-        assign_shared(client.model, state.shared, config.share_encoders)
-    mae = evaluate_mae(state.clients, config, run_rng.derive("eval", r))
+    with _naming(f"round {r}"):
+        weights = aggregation_weights(updates, effective_strategy(config))
+        state.shared = aggregate(updates, weights)
+        for client in state.clients:
+            assign_shared(client.model, state.shared, config.share_encoders)
+        mae = evaluate_mae(state.clients, config, run_rng.derive("eval", r))
     report = RoundReport(
         round=r,
         train_loss={u.client_id: loss for u, loss in results},
@@ -308,11 +317,11 @@ def run_round(state: FederationState, config, run_rng: Rng,
 # -------------------------------------------------------------- entry points
 
 def build_federation_data(config, seed: int) -> list:
-    """Materialize ClientData for the run: synthetic spec or JSONL ingestion."""
+    """One ClientData per client, in client_id order: either source's unsplit
+    tables, split and marked noisy here, the one place that does either."""
     fed = config.federation
     if config.data_path:
-        datasets = sorted(load_jsonl(config.data_path, fed.feature_dim),
-                          key=lambda d: d.client_id)
+        datasets = load_jsonl(config.data_path, fed.feature_dim)
         if len(datasets) < 2:
             raise ConfigError(f"{config.data_path}: a federation needs at least "
                               f"2 clients, found {len(datasets)}")
@@ -320,18 +329,19 @@ def build_federation_data(config, seed: int) -> list:
             if len(ds.samples) < 2:
                 raise ConfigError(f"{config.data_path}: client {ds.client_id!r} has "
                                   f"{len(ds.samples)} sample(s); a split needs 2 or more")
-        clients = [split_dataset(ds) for ds in datasets]
-        return mark_noisy_clients(clients, fed.noisy_ratio,
-                                  Rng(seed).derive("noisy-mark"))
-    return generate_federation(
-        replace(fed, seed=seed if fed.seed is None else fed.seed))
+        noisy_rng = Rng(seed).derive("noisy-mark")
+    else:
+        data_seed = seed if fed.seed is None else fed.seed
+        datasets = generate_federation(replace(fed, seed=data_seed))
+        noisy_rng = Rng(data_seed).derive("datagen", "noisy")
+    clients = [split_dataset(ds) for ds in sorted(datasets, key=lambda d: d.client_id)]
+    return mark_noisy_clients(clients, fed.noisy_ratio, noisy_rng)
 
 
 def init_federation(config, seed: int) -> FederationState:
     """Build every client's data and model, and broadcast the server's
     initial shared block to every client."""
     data = build_federation_data(config, seed)
-    data = sorted(data, key=lambda c: c.client_id)
     dims = {m: f.shape[1] for m, f in data[0].train.samples.feats.items()}
     init_rng = Rng(seed)
     clients = [
@@ -374,7 +384,8 @@ def run_simulation(config, seed: int, run_dir, n_threads: int | None = None) -> 
     t_start = time.perf_counter()
     state = init_federation(config, seed)
     run_rng = Rng(seed).derive("protocol")
-    initial_mae = evaluate_mae(state.clients, config, run_rng.derive("eval", 0))
+    with _naming("round 0"):
+        initial_mae = evaluate_mae(state.clients, config, run_rng.derive("eval", 0))
     os.makedirs(run_dir, exist_ok=True)  # a run that fails before here leaves no directory
     with open(os.path.join(run_dir, "rounds.jsonl"), "w", encoding="utf-8") as fh:
         for _ in range(config.training.rounds):

@@ -15,18 +15,13 @@ import math
 
 import numpy as np
 
-from .exceptions import ConfigError
-
 
 def _key_to_int(part) -> int:
-    if isinstance(part, (int, np.integer)):
-        if part < 0:
-            raise ConfigError(f"rng key parts must be non-negative, got {part}")
-        return int(part)
+    """A key part, an int >= 0 or a string, as SeedSequence entropy."""
     if isinstance(part, str):
         digest = hashlib.blake2s(part.encode("utf-8"), digest_size=8).digest()
         return int.from_bytes(digest, "big")
-    raise ConfigError(f"rng key parts must be int or str, got {type(part).__name__}")
+    return int(part)
 
 
 @functools.lru_cache(maxsize=16)
@@ -41,8 +36,6 @@ class Rng:
     """Seeded random stream with hierarchical derivation."""
 
     def __init__(self, seed: int, key: tuple = ()):
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         self.seed = int(seed)
         self.key = tuple(key)
         entropy = [self.seed] + [_key_to_int(p) for p in self.key]

@@ -63,6 +63,21 @@ def src_env() -> dict:
         [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
 
 
+def fixture_run_config(tmp_path, line: int, modality: str, value: float) -> str:
+    """A two-round run config over the ingest fixture with the first
+    `modality` feature of 0-based `line` set to `value`."""
+    lines = Path(FIXTURE).read_text().splitlines(keepends=True)
+    rec = json.loads(lines[line])
+    rec["features"][modality][0] = value
+    lines[line] = json.dumps(rec) + "\n"
+    data = tmp_path / "data.jsonl"
+    data.write_text("".join(lines))
+    return write_json(tmp_path / "config.json", {
+        "data_path": str(data), "output_dir": str(tmp_path / "out"),
+        "federation": {"feature_dim": 4}, "model": {"hidden_dim": 8},
+        "training": {"rounds": 2, "local_epochs": 1}})
+
+
 def unallocatable_message(size) -> str:
     """How the CLI reports an array of `size` rows it cannot make."""
     if size >= 2**60:
@@ -118,6 +133,13 @@ class TestCli:
         assert main(["gen-data", "--spec", spec, "--out", str(out)]) == 2
         assert "No space left on device" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+    def test_gen_data_into_missing_directory_names_the_out_path(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", GEN_DATA_SPEC)
+        out = tmp_path / "nodir" / "data.jsonl"
+        assert main(["gen-data", "--spec", spec, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("runtime error: [Errno 2] No such file or "
+                                           f"directory: {str(out)!r}\n")
 
     def test_gen_data_without_seed_matches_reference_file(self, tmp_path, capsys):
         # the reference file was written by the gen-data of the release before
@@ -391,15 +413,7 @@ class TestCli:
         # a 1e308 feature overflows the probe variances of the rows that hold
         # it; those entries get fusion weight 0 and the run reports nothing.
         # A fresh interpreter, so no handler pytest installs hides a log line
-        data = tmp_path / "data.jsonl"
-        lines = Path(FIXTURE).read_text().splitlines(keepends=True)
-        first = json.loads(lines[0])
-        first["features"]["t"][0] = 1e308
-        data.write_text(json.dumps(first) + "\n" + "".join(lines[1:]))
-        path = write_json(tmp_path / "config.json", {
-            "data_path": str(data), "output_dir": str(tmp_path / "out"),
-            "federation": {"feature_dim": 4}, "model": {"hidden_dim": 8},
-            "training": {"rounds": 2, "local_epochs": 1}})
+        path = fixture_run_config(tmp_path, 0, "t", 1e308)
         proc = subprocess.run([sys.executable, "-m", "feduaf.cli", "run", "--config", path],
                               env=src_env(), capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0 and proc.stderr == ""
@@ -407,18 +421,19 @@ class TestCli:
     def test_overflowed_fusion_names_the_diverging_client(self, tmp_path, capsys):
         # line 3 holds only modality a; a 1e200 feature there overflows its
         # probe variance, which leaves that row no usable fusion weight
-        data = tmp_path / "data.jsonl"
-        lines = Path(FIXTURE).read_text().splitlines(keepends=True)
-        third = json.loads(lines[2])
-        third["features"]["a"][0] = 1e200
-        data.write_text("".join(lines[:2]) + json.dumps(third) + "\n" + "".join(lines[3:]))
-        path = write_json(tmp_path / "config.json", {
-            "data_path": str(data), "output_dir": str(tmp_path / "out"),
-            "federation": {"feature_dim": 4}, "model": {"hidden_dim": 8},
-            "training": {"rounds": 2, "local_epochs": 1}})
+        path = fixture_run_config(tmp_path, 2, "a", 1e200)
         assert main(["run", "--config", path]) == 2
         assert capsys.readouterr().err == ("runtime error: round 1: client 'spk_a' "
                                            "diverged: a row has no finite uncertainty "
+                                           "available\n")
+
+    def test_overflowed_evaluation_names_round_and_client(self, tmp_path, capsys):
+        # line 5 is spk_a's only test row and holds only modality t; a 1e200
+        # feature there leaves it no usable fusion weight in the first evaluation
+        path = fixture_run_config(tmp_path, 4, "t", 1e200)
+        assert main(["run", "--config", path]) == 2
+        assert capsys.readouterr().err == ("runtime error: round 0: evaluating client "
+                                           "'spk_a': a row has no finite uncertainty "
                                            "available\n")
 
     def test_client_too_small_to_split_exits_1(self, tmp_path, capsys):

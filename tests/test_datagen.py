@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from feduaf.config import config_from_dict, from_dict
 from feduaf.datagen import (
     ClientDataset,
     FederationSpec,
@@ -20,16 +21,9 @@ from feduaf.datagen import (
     split_dataset,
 )
 from feduaf.exceptions import ConfigError, ParseError, ValidationError
+from feduaf.fedsim import build_federation_data
 from feduaf.fusion import MODALITIES
 from feduaf.rng import Rng
-
-
-def client_labels(client):
-    return np.concatenate([table.labels for table in splits(client)])
-
-
-def splits(client):
-    return [ds.samples for ds in (client.train, client.val, client.test)]
 
 
 def assert_same_table(got, want):
@@ -46,31 +40,30 @@ class TestGenerateFederation:
                               noisy_ratio=0.4, seed=5)
         a = generate_federation(spec)
         b = generate_federation(spec)
+        assert [ca.client_id for ca in a] == ["spk000", "spk001", "spk002"]
         for ca, cb in zip(a, b):
             assert ca.client_id == cb.client_id
-            assert ca.is_noisy == cb.is_noisy
-            for sa, sb in zip(splits(ca), splits(cb)):
-                assert_same_table(sa, sb)
+            assert_same_table(ca.samples, cb.samples)
 
     def test_iid_limit_label_means_agree(self):
         spec = FederationSpec(num_clients=2, samples_per_client=1000,
                               noniid_intensity=0.0, seed=3)
         clients = generate_federation(spec)
-        means = [client_labels(c).mean() for c in clients]
+        means = [c.samples.labels.mean() for c in clients]
         assert abs(means[0] - means[1]) < 0.1
 
     def test_full_heterogeneity_spreads_label_means(self):
         spec = FederationSpec(num_clients=10, samples_per_client=1000,
                               noniid_intensity=1.0, seed=3)
         clients = generate_federation(spec)
-        means = np.array([client_labels(c).mean() for c in clients])
+        means = np.array([c.samples.labels.mean() for c in clients])
         assert means.std() > 1.0
 
     def test_labels_stay_in_range(self):
         spec = FederationSpec(num_clients=4, samples_per_client=200,
                               noniid_intensity=1.0, seed=11)
         for c in generate_federation(spec):
-            labels = client_labels(c)
+            labels = c.samples.labels
             assert labels.min() >= -3.0 and labels.max() <= 3.0
 
     def test_heterogeneity_monotone_in_kappa(self):
@@ -84,30 +77,33 @@ class TestGenerateFederation:
                 spec = FederationSpec(num_clients=8, samples_per_client=100,
                                       noniid_intensity=kappa, seed=seed)
                 clients = generate_federation(spec)
-                means = [client_labels(c).mean() for c in clients]
+                means = [c.samples.labels.mean() for c in clients]
                 variances.append(np.var(means))
             avg_var.append(np.mean(variances))
         assert all(a <= b + 1e-9 for a, b in zip(avg_var, avg_var[1:]))
 
     def test_split_sizes(self):
         spec = FederationSpec(num_clients=2, samples_per_client=100, seed=0)
-        c = generate_federation(spec)[0]
-        assert (len(c.train.samples), len(c.val.samples), len(c.test.samples)) == (70, 10, 20)
+        ds = generate_federation(spec)[0]
+        c = split_dataset(ds)
+        assert (len(ds.samples), len(c.train.samples), len(c.test.samples)) == (100, 70, 20)
+        # the 10 val rows between them are dropped
+        assert np.array_equal(c.test.samples.labels, ds.samples.labels[80:])
 
     def test_modalities_have_distinct_noise_levels(self):
         # residual feature noise after projecting out the shared latent:
         # audio noisiest, text cleanest
         spec = FederationSpec(num_clients=2, samples_per_client=2000, seed=9)
         clients = generate_federation(spec)
-        feats = clients[0].train.samples.feats
+        feats = clients[0].samples.feats
         spreads = {m: feats[m].var(axis=0).mean() for m in MODALITIES}
         assert spreads["a"] > spreads["v"] > spreads["t"]
 
     @pytest.mark.parametrize("rho,digest", [(0.0, "40fa1830b8cd0ee5"),
                                             (0.8, "d25a98f70b872120")])
     def test_output_pinned_byte_for_byte(self, tmp_path, rho, digest):
-        # 20 samples per client give a non-empty val split, so every split's
-        # missing-modality stream is pinned
+        # 20 samples per client give a non-empty val range, so each of the
+        # three missing-modality streams is pinned
         spec = FederationSpec(num_clients=3, samples_per_client=20, noniid_intensity=1.0,
                               missing_ratio=rho, noisy_ratio=0.5, seed=11)
         path = tmp_path / "data.jsonl"
@@ -115,14 +111,15 @@ class TestGenerateFederation:
         assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
 
     def test_invalid_spec_rejected(self):
+        # generate_federation takes the spec its callers validated
         with pytest.raises(ConfigError):
-            generate_federation(FederationSpec(num_clients=1))
+            from_dict(FederationSpec, {"num_clients": 1})
         with pytest.raises(ConfigError):
-            generate_federation(FederationSpec(num_clients=2, missing_ratio=1.0))
+            from_dict(FederationSpec, {"num_clients": 2, "missing_ratio": 1.0})
         for bad in ({"num_clients": "5"}, {"missing_ratio": "0.5"},
-                    {"samples_per_client": 2.5}, {"seed": True}, {"seed": None}):
+                    {"samples_per_client": 2.5}, {"seed": True}, {"seed": -1}):
             with pytest.raises(ConfigError):
-                generate_federation(FederationSpec(**{"num_clients": 3, **bad}))
+                from_dict(FederationSpec, {"num_clients": 3, **bad})
 
 
 def draw_masks_recording(n, rho, seed):
@@ -151,7 +148,7 @@ class TestInjectMissing:
     def generate(self, rho, seed):
         spec = FederationSpec(num_clients=3, samples_per_client=100,
                               missing_ratio=rho, seed=seed)
-        return [table for c in generate_federation(spec) for table in splits(c)]
+        return [ds.samples for ds in generate_federation(spec)]
 
     def test_empirical_drop_rate(self):
         # pre-restoration drop rate within [0.78, 0.82] at rho=0.8 over
@@ -200,21 +197,24 @@ class TestInjectMissing:
                 assert p_value > 0.01
 
 
+def run_clients(run_seed=3, **federation):
+    """The split, marked clients a run at `run_seed` builds from the
+    `federation` section."""
+    return build_federation_data(config_from_dict({"federation": federation}), run_seed)
+
+
 class TestMarkNoisy:
     def test_zero_ratio_marks_none(self):
-        clients = generate_federation(FederationSpec(num_clients=4,
-                                                     samples_per_client=10, seed=0))
+        clients = run_clients(num_clients=4, samples_per_client=10, seed=0)
         assert not any(c.is_noisy for c in clients)
 
     def test_exact_count(self):
-        spec = FederationSpec(num_clients=10, samples_per_client=10,
-                              noisy_ratio=0.6, seed=0)
-        clients = generate_federation(spec)
+        clients = run_clients(num_clients=10, samples_per_client=10, noisy_ratio=0.6, seed=0)
         assert sum(c.is_noisy for c in clients) == 6
 
     def test_deterministic_selection(self):
-        clients = generate_federation(FederationSpec(num_clients=6,
-                                                     samples_per_client=10, seed=1))
+        clients = [split_dataset(ds) for ds in generate_federation(
+            FederationSpec(num_clients=6, samples_per_client=10, seed=1))]
         a = mark_noisy_clients(clients, 0.5, Rng(42))
         b = mark_noisy_clients(clients, 0.5, Rng(42))
         assert [c.is_noisy for c in a] == [c.is_noisy for c in b]
@@ -231,11 +231,13 @@ class TestSplit:
         rng = Rng(0)
         table = Samples({m: rng.normal(size=(n, 2)) for m in MODALITIES},
                         np.ones((n, 3), dtype=bool), np.arange(n, dtype=float))
+        assert tuple(hi - lo for lo, hi in _split_bounds(n)) == expected
         c = split_dataset(ClientDataset("x", table))
-        assert tuple(len(t) for t in splits(c)) == expected
-        # positional: the splits are consecutive runs of the table's rows
-        assert np.concatenate([t.labels for t in splits(c)]).tolist() == list(range(n))
-        assert np.array_equal(c.test.samples.feats["a"], table.feats["a"][n - expected[2]:])
+        n_tr, n_val, n_te = expected
+        # positional: train is the first rows, test the last; val between is dropped
+        assert c.train.samples.labels.tolist() == list(range(n_tr))
+        assert c.test.samples.labels.tolist() == list(range(n_tr + n_val, n))
+        assert np.array_equal(c.test.samples.feats["a"], table.feats["a"][n - n_te:])
 
     def test_two_or_more_samples_give_a_train_and_a_test_row(self):
         # local_update and evaluate_mae take these splits unchecked
@@ -257,11 +259,7 @@ class TestJsonl:
         loaded = load_jsonl(path, 20)
         assert [d.client_id for d in loaded] == [c.client_id for c in clients]
         for ds, c in zip(loaded, clients):
-            parts = splits(c)
-            assert_same_table(ds.samples, Samples(
-                {m: np.concatenate([t.feats[m] for t in parts]) for m in MODALITIES},
-                np.concatenate([t.mask for t in parts]),
-                np.concatenate([t.labels for t in parts])))
+            assert_same_table(ds.samples, c.samples)
 
     def test_write_load_write_stable(self, tmp_path):
         clients = self.make_clients()

@@ -77,6 +77,12 @@ class TestNormalizeReliabilities:
     def test_nonpositive_rejected(self):
         with pytest.raises(NumericError):
             normalize_reliabilities([named_update("a", 0, 0.0)])
+        # the message names the first client that is not finite and positive
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            updates = [named_update("a", 0, 1.0), named_update("b", 0, bad),
+                       named_update("c", 0, 0.0)]
+            with pytest.raises(NumericError, match=f"^client 'b' has reliability {bad}; "):
+                normalize_reliabilities(updates)
 
     def test_anti_monotone_in_uncertainty(self):
         # raising one client's mean uncertainty strictly lowers its weight
@@ -251,7 +257,7 @@ class TestLocalUpdate:
         monkeypatch.setattr(feduaf.model, "forward", recording)
         one = Samples({m: np.array([[1.0, 0.5, 0.25]]) for m in MODALITIES},
                       np.ones((1, 3), dtype=bool), np.array([2.0]))
-        data = ClientData("c0", *(ClientDataset("c0", one) for _ in range(3)))
+        data = ClientData("c0", *(ClientDataset("c0", one) for _ in range(2)))
         client = ClientRuntime(data=data, model=model)
         cfg = smoke_config(training={"local_epochs": 300, "batch_size": 1},
                            model={"dropout": 0.0})

@@ -49,6 +49,10 @@ def digest(path) -> str:
     (smoke(strategy="fedprox", ablation={"ua_fusion": False}), 1,
      "da59673b03338704/8984563dcfa2594d"),
     (smoke(ablation={"rel_agg": False}), 2, "bfc02db176114566/21a236878be19b4e"),
+    # a data seed other than the run seed: the synthetic noisy clients are
+    # drawn from the data seed's stream
+    (smoke(federation={"seed": 11, "noisy_ratio": 0.5}), 1,
+     "b62fd5c136249dca/64763023f945fa1f"),
     (FIXTURE_RUN, 1, "8a4a4ad0ea389466/5a4ddaa792f21312"),
     (dict(FIXTURE_RUN, share_encoders=True), 1, "0dd8a51aa68e8c97/a56eb6e211f598fe"),
     *[(workloads.config_dict(name, SEED, "unused"), workloads.WORKLOADS[name]["threads"],
@@ -58,7 +62,7 @@ def digest(path) -> str:
         ("scale_threads", "73c31f935473761c/fea0f14ad7ae0c23"),
     ]],
 ], ids=["smoke-t1", "smoke-t2", "smoke-dropout0.7", "smoke-fedprox-uniform-fusion",
-       "smoke-uniform-agg", "fixture", "fixture-share-encoders",
+       "smoke-uniform-agg", "smoke-data-seed", "fixture", "fixture-share-encoders",
        "feduaf_rho08", "fedprox_w32", "scale_threads"])
 def test_run_bytes_pinned(tmp_path, raw, n_threads, pinned):
     run_dir = str(tmp_path / "run")

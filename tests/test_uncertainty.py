@@ -237,8 +237,8 @@ class TestTrainedModalitySeparation:
         # higher audio than text uncertainty. Each seeded trial compares the
         # mean over a small batch (single-sample comparisons are dominated
         # by per-sample input-energy noise).
-        from feduaf.config import config_from_dict
-        from feduaf.datagen import FederationSpec, generate_federation
+        from feduaf.config import FederationSpec, config_from_dict, from_dict
+        from feduaf.datagen import generate_federation
         from feduaf.fedsim import init_federation, run_round
 
         cfg = config_from_dict({
@@ -253,9 +253,9 @@ class TestTrainedModalitySeparation:
         model = state.clients[0].model
         # same generator seed, so the same projection matrices: the pool is
         # in-distribution for the trained model
-        pool = generate_federation(
-            FederationSpec(num_clients=4, samples_per_client=200, seed=1)
-        )[0].train.samples
+        pool = generate_federation(from_dict(
+            FederationSpec, {"num_clients": 4, "samples_per_client": 200, "seed": 1}
+        ))[0].samples
         audio_scale = np.sqrt(1.0 + 1.2 ** 2)  # marginal std of audio features
         n_trials, batch, passes = 10, 4, 25
         wins = 0
