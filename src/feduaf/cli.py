@@ -14,9 +14,10 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import FederationSpec, from_dict, parse_config, read_json, replacing
+from .config import FederationSpec, from_dict, parse_config, parse_int, read_json, replacing
 from .datagen import generate_federation, save_jsonl
 from .exceptions import ConfigError, failure
+from .fedsim import run_simulation
 from .sweep import emit_plotdata, run_sweep
 
 
@@ -35,12 +36,9 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from .fedsim import run_simulation
-
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed must be an integer >= 0, got {args.seed}")
+    seed = None if args.seed is None else parse_int(args.seed, "--seed", 0)
     config = parse_config(args.config)
-    seed = args.seed if args.seed is not None else config.seeds[0]
+    seed = config.seeds[0] if seed is None else seed
     summary = run_simulation(config, seed, config.output_dir)
     print(f"seed {seed}: final MAE {summary['final_mae']:.4f} "
           f"after {summary['rounds_completed']} rounds "
@@ -80,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute one training run")
     p.add_argument("--config", required=True, help="experiment config JSON file")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", default=None,
                    help="override the run seed (default: first of config seeds)")
     p.set_defaults(func=_cmd_run)
 

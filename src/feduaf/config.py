@@ -7,10 +7,12 @@ unknown keys and out-of-range values are errors that name the key.
 
 Each field declares its default and its rule once, next to each other, and
 `from_dict`, the one validator, checks a JSON object against them (an
-object built in Python goes through it as a dict). The file helpers every
-command shares live here too: `open_input` and `read_json` for inputs,
-`replacing` for outputs. This module imports only `exceptions`, so every
-other module can import from it.
+object built in Python goes through it as a dict). This is also the one
+module that turns input into values: `open_input` opens bytes, `decode`
+makes them text, `parse_json` and `parse_int` parse it, and each failure is
+a ParseError or ConfigError naming where the input came from. `replacing`
+writes every output but `rounds.jsonl` whole. This module imports only
+`exceptions`, so every other module can import from it.
 """
 
 from __future__ import annotations
@@ -172,12 +174,16 @@ def _key(path: str, name: str) -> str:
 ECHO_CHARS = 60  # of an offending value's repr in a message
 
 
+def _echo(value) -> str:
+    shown = repr(value)
+    if len(shown) > ECHO_CHARS:
+        shown = f"{shown[:ECHO_CHARS]}... ({len(shown)} chars)"
+    return shown
+
+
 def _check(f, value, key: str):
     if not f.metadata["ok"](value):
-        shown = repr(value)
-        if len(shown) > ECHO_CHARS:
-            shown = f"{shown[:ECHO_CHARS]}... ({len(shown)} chars)"
-        raise ConfigError(f"config key '{key}' expects {f.metadata['desc']}, got {shown}")
+        raise ConfigError(f"config key '{key}' expects {f.metadata['desc']}, got {_echo(value)}")
 
 
 def from_dict(cls, raw, path: str = ""):
@@ -208,10 +214,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return from_dict(ExperimentConfig, raw)
 
 
-def open_input(path, what: str, mode: str = "rb", **kwargs):
-    """open() an input file; a missing path or a directory is a ConfigError."""
+def open_input(path, what: str):
+    """Input file `path` opened for bytes; a missing path or a directory is a ConfigError."""
     try:
-        return open(path, mode, **kwargs)
+        return open(path, "rb")
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}")
     except IsADirectoryError:
@@ -235,31 +241,50 @@ def replacing(path):
         raise
 
 
-def unique_keys(pairs: list) -> dict:
-    """json `object_pairs_hook` of every JSON input: a repeated key raises
-    ParseError naming it, where json alone would keep its last value."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        keys = [key for key, _ in pairs]
-        raise ParseError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
-    return obj
+def decode(data: bytes, where) -> str:
+    """UTF-8 `data` as text; other bytes raise ParseError starting with `where`."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{where}: not UTF-8 text ({exc.reason})") from None
+
+
+def parse_json(text: str, where):
+    """The value of JSON `text`. Malformed or too deeply nested JSON, a key
+    repeated within an object (json alone keeps its last value) and an
+    integer longer than int() converts raise ParseError starting with `where`."""
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated = next(k for k in keys if keys.count(k) > 1)
+            raise ParseError(f"{where}: repeated key {repeated!r}")
+        return obj
+
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: malformed JSON ({exc.msg}, line {exc.lineno})") from None
+    except RecursionError:
+        raise ParseError(f"{where}: JSON nested too deeply") from None
+    except ValueError:  # int()'s limit on the digits it converts
+        raise ParseError(f"{where}: integer over {sys.get_int_max_str_digits()} digits") from None
 
 
 def read_json(path, what: str):
-    """Parse a UTF-8 JSON file opened by `open_input`; an undecodable,
-    malformed or too deeply nested one, or one with a repeated key, raises
-    ParseError naming the file."""
-    try:
-        with open_input(path, what, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=unique_keys)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: malformed JSON ({exc.msg}, line {exc.lineno})")
-    except RecursionError:
-        raise ParseError(f"{path}: JSON nested too deeply") from None
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    """The value of UTF-8 JSON file `path`, parsed by `parse_json`; errors name the file."""
+    with open_input(path, what) as fh:
+        return parse_json(decode(fh.read(), path), path)
+
+
+def parse_int(text: str, what: str, lo: int) -> int:
+    """`text`, named `what` in errors, as an integer >= lo: ASCII digits only,
+    where int() would also take "1_0", " 2 ", "+2" and non-ASCII digits."""
+    if text.isascii() and text.isdigit():
+        with contextlib.suppress(ValueError):  # more digits than int() converts
+            if (value := int(text)) >= lo:
+                return value
+    raise ConfigError(f"{what} must be an integer >= {lo}, got {_echo(text)}")
 
 
 def parse_config(path) -> ExperimentConfig:

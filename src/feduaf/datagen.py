@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import (FederationSpec, is_finite_list, is_finite_number, is_text,
-                     open_input, unique_keys)
-from .exceptions import ParseError, ValidationError
+from .config import (FederationSpec, decode, is_finite_list, is_finite_number, is_text,
+                     open_input, parse_json)
+from .exceptions import ValidationError
 from .fusion import MODALITIES
 from .rng import Rng
 
@@ -63,13 +63,8 @@ class ClientData:
 def _split_bounds(n: int) -> tuple:
     """(lo, hi) index ranges of the positional 70/10/20 train/val/test split
     of n samples; at least 1 train and 1 test sample when n >= 2."""
-    n_tr = max(1, int(round(SPLIT_FRACTIONS[0] * n)))
+    n_tr = int(round(SPLIT_FRACTIONS[0] * n))
     n_val = int(round(SPLIT_FRACTIONS[1] * n))
-    while n_tr + n_val >= n:
-        if n_val > 0:
-            n_val -= 1
-        else:
-            n_tr -= 1
     return (0, n_tr), (n_tr, n_tr + n_val), (n_tr + n_val, n)
 
 
@@ -177,14 +172,7 @@ def save_jsonl(path, datasets: list):
 def _parse_line(line: str, where: str, dims_seen: dict) -> tuple:
     """(client_id, modality -> feature vector, label) of one line;
     errors begin with `where`."""
-    try:
-        rec = json.loads(line, object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{where}: malformed JSON ({exc.msg})") from exc
-    except RecursionError:
-        raise ParseError(f"{where}: JSON nested too deeply") from None
-    except ParseError as exc:
-        raise ParseError(f"{where}: {exc}") from None
+    rec = parse_json(line, where)
     if not isinstance(rec, dict):
         raise ValidationError(f"{where}: expected a JSON object")
     unknown = set(rec) - _SAMPLE_KEYS
@@ -241,13 +229,11 @@ def load_jsonl(path, feature_dim: int) -> list:
     dims_seen: dict = {}
     with open_input(path, "dataset") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: not UTF-8 text ({exc.reason})")
+            where = f"{path}: line {lineno}"
+            line = decode(raw, where)
             if not line.strip():
                 continue
-            cid, features, label = _parse_line(line, f"{path}: line {lineno}", dims_seen)
+            cid, features, label = _parse_line(line, where, dims_seen)
             groups.setdefault(cid, []).append((features, label))
     if not groups:
         raise ValidationError(f"{path}: empty dataset file")

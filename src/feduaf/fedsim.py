@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import FEDPROX, RELIABILITY_WEIGHTED, UNIFORM, replacing
+from .config import FEDPROX, RELIABILITY_WEIGHTED, UNIFORM, parse_int, replacing
 from .datagen import (
     ClientData,
     Samples,
@@ -363,13 +363,8 @@ def init_federation(config, seed: int) -> FederationState:
 
 
 def threads_from_env() -> int:
-    """Worker count from FEDUAF_THREADS (default 1): ASCII digits only, with
-    a value >= 1 (int() would also take "1_0", " 2 ", "+2" and non-ASCII
-    digits)."""
-    raw = os.environ.get("FEDUAF_THREADS", "1")
-    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
-        raise ConfigError(f"FEDUAF_THREADS must be an integer >= 1, got {raw!r}")
-    return int(raw)
+    """Worker count from FEDUAF_THREADS (default 1), an integer >= 1."""
+    return parse_int(os.environ.get("FEDUAF_THREADS", "1"), "FEDUAF_THREADS", 1)
 
 
 def run_simulation(config, seed: int, run_dir, n_threads: int | None = None) -> dict:

@@ -69,6 +69,3 @@ class Rng:
 
     def choice(self, a, size=None, replace=True):
         return self.gen.choice(a, size=size, replace=replace)
-
-    def __repr__(self):
-        return f"Rng(seed={self.seed}, key={self.key})"

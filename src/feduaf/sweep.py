@@ -12,6 +12,7 @@ sweep continues; any other exception is a bug and propagates.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import STRATEGIES, ExperimentConfig, config_from_dict, open_input, replacing
+from .config import STRATEGIES, ExperimentConfig, config_from_dict, decode, open_input, replacing
 from .exceptions import ConfigError, ParseError, ValidationError, failure
 from .fedsim import _map, run_simulation, threads_from_env
 
@@ -171,19 +172,16 @@ def _cell_error(sweep_csv, i: int, col: str, want: str, value) -> ValidationErro
 def _read_sweep_rows(sweep_csv) -> list:
     """The data rows of a sweep.csv, checked as `write_sweep_csv` writes them,
     with the x axes and mae_mean as finite floats (mae_mean None where empty)."""
-    try:
-        with open_input(sweep_csv, "sweep csv", "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            missing = sorted(set(CSV_COLUMNS) - set(header))
-            if missing:
-                raise ValidationError(f"sweep csv missing columns: {missing}")
-            repeated = sorted({col for col in header if header.count(col) > 1})
-            if repeated:
-                raise ParseError(f"{sweep_csv}: repeated columns {repeated}")
-            rows = list(reader)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{sweep_csv}: not UTF-8 text ({exc.reason})")
+    with open_input(sweep_csv, "sweep csv") as fh:
+        reader = csv.DictReader(io.StringIO(decode(fh.read(), sweep_csv), newline=""))
+    header = reader.fieldnames or []
+    missing = sorted(set(CSV_COLUMNS) - set(header))
+    if missing:
+        raise ValidationError(f"sweep csv missing columns: {missing}")
+    repeated = sorted({col for col in header if header.count(col) > 1})
+    if repeated:
+        raise ParseError(f"{sweep_csv}: repeated columns {repeated}")
+    rows = list(reader)
     if not rows:
         raise ValidationError("sweep csv has no data rows")
     for i, row in enumerate(rows, start=1):

@@ -1,7 +1,7 @@
 """No test-only API: every function, class and method in src/feduaf is used
 by the simulator or by the benchmark harness, and every parameter is read.
 The numeric core converts and checks none of the arrays the simulator hands
-it.
+it, and only config.py decodes and parses input.
 
 A definition is live when live code refers to it. Module-level code in
 src/feduaf and all of perfbench/ is live, and so are the allowed names
@@ -25,7 +25,7 @@ ALLOWED = {
     "variance_uncertainty",
     "entropy_uncertainty",
     # reads the checkpoint format save_params writes; resumable runs
-    # (ROADMAP item 3) load it back
+    # (ROADMAP item 2) load it back
     "load_params",
 }
 
@@ -166,3 +166,33 @@ def core_rechecks() -> list:
 def test_numeric_core_trusts_the_arrays_it_is_given():
     found = core_rechecks()
     assert not found, f"conversions and checks of arrays the simulator built: {found}"
+
+
+# turning input bytes and text into values; config.py alone does it
+PARSING = {"json.load", "json.loads", "UnicodeDecodeError", "json.JSONDecodeError",
+           "RecursionError"}
+
+
+def parsing_outside_config() -> list:
+    """`file:what` for every call of json.load or json.loads, and every
+    except clause naming UnicodeDecodeError, json.JSONDecodeError or
+    RecursionError, in a src/feduaf module other than config.py."""
+    found = []
+    for path in sorted((ROOT / "src" / "feduaf").glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                names = [node.func]
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            else:
+                continue
+            found += [f"{path.name}:{ast.unparse(n)}" for n in names
+                      if ast.unparse(n) in PARSING]
+    return found
+
+
+def test_only_config_decodes_and_parses_input():
+    found = parsing_outside_config()
+    assert not found, f"input decoded or parsed outside config.py: {found}"

@@ -22,6 +22,7 @@ from feduaf.cli import main
 
 DEEP = "<deep>"  # written out as a value nested DEPTH lists deep
 DEPTH = 100_000
+LONG_INT = "<long int>"  # written out as a 5,000-digit integer, more than int() converts
 
 # keys that size an array also get sizes numpy cannot allocate (2**50 rows
 # exceed any address space) or represent; counts that only loop (clients,
@@ -33,7 +34,7 @@ HOSTILE = st.one_of(
     st.integers(-2, 3),
     st.sampled_from([None, True, False, "", "x", "\0", "a\0b", "\ud800", "\udcff",
                      [], {}, [[]], {"k": 1}, -0.0, 0.5, 1.5, 1e308, float("nan"),
-                     float("inf"), float("-inf"), DEEP]),
+                     float("inf"), float("-inf"), DEEP, LONG_INT]),
 )
 
 CONFIG = {
@@ -82,7 +83,8 @@ def mutated(obj, path, value):
 
 
 def dump(obj) -> str:
-    return json.dumps(obj).replace(json.dumps(DEEP), "[" * DEPTH + "]" * DEPTH)
+    return (json.dumps(obj).replace(json.dumps(DEEP), "[" * DEPTH + "]" * DEPTH)
+            .replace(json.dumps(LONG_INT), "1" * 5000))
 
 
 @st.composite
@@ -122,6 +124,7 @@ FUZZ = settings(max_examples=150, derandomize=True, database=None, deadline=None
 @given(mutations(CONFIG))
 @example(mutated(CONFIG, ("model", "hidden_dim"), 2**63))  # an unrepresentable size
 @example(mutated(CONFIG, ("output_dir",), "\ud800"))  # a path UTF-8 cannot encode
+@example(mutated(CONFIG, ("training", "rounds"), LONG_INT))
 def test_run_config(config):
     run_cli({"config.json": dump(config)}, ["run", "--config", "config.json"])
 
@@ -129,6 +132,7 @@ def test_run_config(config):
 @FUZZ
 @given(mutations(SPEC))
 @example(mutated(SPEC, ("noniid_intensity",), -0.0))  # a signed zero as a numpy scale
+@example(mutated(SPEC, ("num_clients",), LONG_INT))
 def test_gen_data_spec(spec):
     run_cli({"spec.json": dump(spec)},
             ["gen-data", "--spec", "spec.json", "--out", "x.jsonl"])
@@ -136,6 +140,7 @@ def test_gen_data_spec(spec):
 
 @FUZZ
 @given(mutations(GRID))
+@example(mutated(GRID, ("missing_ratio", 0), LONG_INT))
 def test_sweep_grid(grid):
     run_cli({"config.json": dump(CONFIG), "grid.json": dump(grid)},
             ["sweep", "--config", "config.json", "--grid", "grid.json"])
@@ -144,6 +149,7 @@ def test_sweep_grid(grid):
 @FUZZ
 @given(mutations(LINES))
 @example(mutated(LINES, (1, "features", "v", 1), 1e308))  # finite, but its square is not
+@example(mutated(LINES, (1, "label"), LONG_INT))
 def test_dataset_line(lines):
     run_cli({"config.json": dump(dict(CONFIG, data_path="data.jsonl")),
              "data.jsonl": "".join(dump(line) + "\n" for line in lines)},

@@ -163,10 +163,12 @@ class TestCli:
     def test_run_negative_seed_exits_1_naming_the_option(self, tmp_path, capsys, extra):
         out = tmp_path / "out"
         path = write_json(tmp_path / "config.json", dict(SMALL_RUN, output_dir=str(out), **extra))
-        for seed in ("-1", "-2"):
+        # FEDUAF_THREADS' rule: ASCII digits only, and no more than int() converts
+        for seed in ("-1", "-2", "abc", "1_0", "\u0663", "1" * 5000):
             assert main(["run", "--config", path, "--seed", seed]) == 1
             err = capsys.readouterr().err
-            assert err == f"error: --seed must be an integer >= 0, got {seed}\n"
+            shown = repr(seed) if len(seed) < 10 else f"{repr(seed)[:60]}... (5002 chars)"
+            assert err == f"error: --seed must be an integer >= 0, got {shown}\n"
         assert not out.exists()
 
     def test_run_same_seed_byte_identical(self, tmp_path):
@@ -289,7 +291,8 @@ class TestCli:
         assert err.startswith("error: config key 'federation.missing_ratio' expects ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "", "1_0", " 2 ", "+2", "\u0663"])
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "", "1_0", " 2 ", "+2", "\u0663",
+                                       pytest.param("1" * 5000, id="5000-digits")])
     def test_bad_thread_env_exits_1(self, tmp_path, capsys, monkeypatch, value):
         path = write_json(tmp_path / "config.json",
                           dict(SMALL_RUN, output_dir=str(tmp_path / "out")))
@@ -623,6 +626,16 @@ class TestSweep:
                                     output_dir=str(tmp_path / "sweep2")))
         errors = run_sweep(cfg, {}, cfg.output_dir).cells[0].errors
         assert len(errors) == 2 and all("line 2: not UTF-8" in e for e in errors)
+        # and one whose line 2 holds a label of more digits than int() converts
+        data = tmp_path / "long.jsonl"
+        data.write_text(GOOD_LINE + GOOD_LINE.replace("0.5}", "1" * 5000 + "}"))
+        path = write_json(tmp_path / "config.json", dict(
+            SMALL_RUN, data_path=str(data), output_dir=str(tmp_path / "sweep3")))
+        grid = write_json(tmp_path / "grid.json", {})
+        assert main(["sweep", "--config", path, "--grid", grid]) == 0
+        errors = json.loads((tmp_path / "sweep3" / "sweep_errors.json").read_text())
+        assert list(errors) == ["cell000"] and len(errors["cell000"]) == 2
+        assert all(f"{data}: line 2: integer over" in e for e in errors["cell000"])
 
     def test_fixed_sweep_rerun_drops_earlier_errors(self, tmp_path):
         # the first sweep's only cell fails on a missing dataset; once the

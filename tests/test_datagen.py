@@ -240,10 +240,11 @@ class TestSplit:
         assert np.array_equal(c.test.samples.feats["a"], table.feats["a"][n - n_te:])
 
     def test_two_or_more_samples_give_a_train_and_a_test_row(self):
-        # local_update and evaluate_mae take these splits unchecked
-        for n in range(2, 201):
-            (tr_lo, tr_hi), _, (te_lo, te_hi) = _split_bounds(n)
-            assert tr_hi - tr_lo >= 1 and te_hi - te_lo >= 1, n
+        # local_update and evaluate_mae take these splits unchecked; the
+        # three ranges cover [0, n) in order
+        for n in range(2, 10_001):
+            (tr_lo, tr_hi), (va_lo, va_hi), (te_lo, te_hi) = _split_bounds(n)
+            assert 0 == tr_lo < tr_hi == va_lo <= va_hi == te_lo < te_hi == n, n
 
 
 class TestJsonl:
